@@ -54,20 +54,24 @@ def _check_degree(args, n: int, low: int = 2) -> None:
 def _cache(args):
     # alternative basis orders never touch the persistent cache
     if args.prefer != "depth":
-        return engine._MemoryCache()
+        return store.TableStore()
     return store.TableStore(store.resolve_root(args.cache_dir))
 
 
-def cmd_shuffle(args) -> int:
-    for w in (args.w1, args.w2):
-        validate_word(w)
-    p = shuffle(LinComb.term(args.w1), LinComb.term(args.w2))
+def _print_word_poly(args, p: LinComb) -> int:
     if args.records:
         for w in sorted(p.support(), key=lambda w: (len(w), w)):
             print(f"term {w} {p[w]}")
     else:
         print(format_word_poly(p))
     return 0
+
+
+def cmd_shuffle(args) -> int:
+    for w in (args.w1, args.w2):
+        validate_word(w)
+    return _print_word_poly(
+        args, shuffle(LinComb.term(args.w1), LinComb.term(args.w2)))
 
 
 def cmd_stuffle(args) -> int:
@@ -83,13 +87,7 @@ def cmd_stuffle(args) -> int:
 
 def cmd_reg(args) -> int:
     validate_word(args.word)
-    p = reg(LinComb.term(args.word))
-    if args.records:
-        for w in sorted(p.support(), key=lambda w: (len(w), w)):
-            print(f"term {w} {p[w]}")
-    else:
-        print(format_word_poly(p))
-    return 0
+    return _print_word_poly(args, reg(LinComb.term(args.word)))
 
 
 def cmd_decompose(args) -> int:
@@ -118,7 +116,7 @@ def cmd_knt(args) -> int:
 
 def cmd_dims(args) -> int:
     _check_degree(args, args.max, 3)
-    rows = conjectures.verify_zagier(args.max)
+    rows = conjectures.verify_zagier(args.max, _cache(args))
     bad = False
     if not args.records:
         print(f"{'n':>3} {'words':>6} {'rank':>6} {'dim':>4} "

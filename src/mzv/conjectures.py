@@ -2,9 +2,9 @@
 
 Everything here is exact integer or rational arithmetic.  The dimension
 recurrence and the necklace-style generator counts come with their own
-cross-checks (rank of the relation systems, explicit Lyndon enumeration over
-the {2,3} alphabet, and a generating-function bridge tying the two tables
-together).
+cross-checks (ranks read from the rewrite tables, explicit Lyndon
+enumeration over the {2,3} alphabet, and a generating-function bridge tying
+the two tables together).
 """
 
 from __future__ import annotations
@@ -13,15 +13,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, gcd
 
-from .linalg import rank
+from .engine import echelonize_degree
 from .lyndon import lyndon_words
-from .regularize import full_system, knt_system
 
 __all__ = [
     "zagier_dims",
     "DimsRow",
     "verify_zagier",
-    "verify_knt",
     "bernoulli",
     "euler_even_zeta",
     "mobius",
@@ -58,20 +56,16 @@ class DimsRow:
         return self.dim == self.zagier
 
 
-def verify_zagier(max_n: int) -> list[DimsRow]:
-    """Compare rank-derived span dimensions against the recurrence."""
+def verify_zagier(max_n: int, cache=None) -> list[DimsRow]:
+    """Compare span dimensions against the recurrence; each weight's rank
+    and dimension are its rewrite table's rule and basis counts."""
     d = zagier_dims(max_n)
     out = []
     for n in range(3, max_n + 1):
-        m = knt_system(n)
-        r = rank(m)
-        out.append(DimsRow(n, m.n_cols, r, m.n_cols - r, d[n]))
+        table = echelonize_degree(n, cache)
+        r, dim = len(table.rules), len(table.basis_words)
+        out.append(DimsRow(n, r + dim, r, dim, d[n]))
     return out
-
-
-def verify_knt(n: int) -> bool:
-    """The restricted rows already span the full double-shuffle row space."""
-    return rank(full_system(n)) == rank(knt_system(n))
 
 
 _bernoulli: list[Fraction] = [Fraction(1)]

@@ -24,6 +24,7 @@ as product-only rows and steal pivots.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -132,24 +133,14 @@ class RewriteTable:
         return LinComb.term(w) if r is None else r
 
 
-class _MemoryCache:
-    """Fallback table cache when no persistent store is supplied."""
-
-    def __init__(self):
-        self.tables: dict[int, RewriteTable] = {}
-
-    def get(self, degree: int):
-        return self.tables.get(degree)
-
-    def put(self, table: RewriteTable) -> None:
-        self.tables[table.degree] = table
-
-
-_default_cache = _MemoryCache()
+@functools.cache
+def _default_cache():
+    from .store import TableStore  # deferred: store imports engine
+    return TableStore()
 
 
 def _resolve(cache):
-    return _default_cache if cache is None else cache
+    return _default_cache() if cache is None else cache
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,10 @@ given column order is unique, so the internal representation is not
 observable.  Pivot selection within a column takes the eligible row with the
 smallest total bit-size of its entries, ties broken by lowest original row
 index; this curbs coefficient growth and is deterministic.
+
+One elimination loop, `_forward`, serves both entry points: `rref` adds
+back-substitution and normalization; `rank` counts its pivots, scanning
+columns in reversed index order (fastest on the relation systems).
 """
 
 from __future__ import annotations
@@ -22,10 +26,6 @@ __all__ = [
     "rref",
     "rank",
     "solve_for",
-    "write_matrix",
-    "read_matrix",
-    "write_echelon",
-    "read_echelon",
 ]
 
 
@@ -124,15 +124,10 @@ def _combine(a: int, row2: dict[int, int], b: int, row1: dict[int, int],
     return out
 
 
-def rref(m: SparseMatrix, col_order: Sequence[int]) -> EchelonForm:
-    """Reduced row echelon form scanning pivot columns in col_order.
-
-    The result (pivot set and reduced rows) is the unique RREF of the row
-    space under that column order.
-    """
-    if sorted(col_order) != list(range(m.n_cols)):
-        raise ValueError("col_order is not a permutation of the columns")
-    pos = {c: i for i, c in enumerate(col_order)}
+def _forward(m: SparseMatrix, col_order: Sequence[int],
+             pos: dict[int, int]) -> list[tuple[int, dict[int, int]]]:
+    """Forward elimination in col_order (pos: column -> place in it);
+    returns the (pivot column, integer row) pairs in scan order."""
     active: list[tuple[int, dict[int, int]]] = []
     for idx, r in enumerate(m.rows):
         row = _to_int_row(r)
@@ -166,6 +161,19 @@ def rref(m: SparseMatrix, col_order: Sequence[int]) -> EchelonForm:
         active = nxt
         echelon.append((c, prow))
     assert not active, "nonzero rows left after scanning every column"
+    return echelon
+
+
+def rref(m: SparseMatrix, col_order: Sequence[int]) -> EchelonForm:
+    """Reduced row echelon form scanning pivot columns in col_order.
+
+    The result (pivot set and reduced rows) is the unique RREF of the row
+    space under that column order.
+    """
+    if sorted(col_order) != list(range(m.n_cols)):
+        raise ValueError("col_order is not a permutation of the columns")
+    pos = {c: i for i, c in enumerate(col_order)}
+    echelon = _forward(m, col_order, pos)
 
     # back-substitution: clear later pivot columns from earlier rows
     for i in range(len(echelon) - 2, -1, -1):
@@ -187,47 +195,9 @@ def rref(m: SparseMatrix, col_order: Sequence[int]) -> EchelonForm:
 
 
 def rank(m: SparseMatrix) -> int:
-    """Rank of m.  Column order is chosen for sparsity (densest columns
-    last); the rank does not depend on it."""
-    counts = [0] * m.n_cols
-    for r in m.rows:
-        for c in r:
-            counts[c] += 1
-    col_order = sorted(range(m.n_cols), key=lambda c: (counts[c], c))
-    pos = {c: i for i, c in enumerate(col_order)}
-    active = []
-    for idx, r in enumerate(m.rows):
-        row = _to_int_row(r)
-        if row:
-            active.append((idx, _reduce_row(row, pos)))
-    rk = 0
-    for c in col_order:
-        if not active:
-            break
-        best = -1
-        best_key = None
-        for i, (orig, row) in enumerate(active):
-            if c in row:
-                key = (_bitsize(row), orig)
-                if best < 0 or key < best_key:
-                    best, best_key = i, key
-        if best < 0:
-            continue
-        _, prow = active.pop(best)
-        a = prow[c]
-        nxt = []
-        for orig2, row2 in active:
-            b = row2.get(c)
-            if b:
-                row2 = _combine(a, row2, b, prow, c)
-                if row2:
-                    nxt.append((orig2, _reduce_row(row2, pos)))
-            else:
-                nxt.append((orig2, row2))
-        active = nxt
-        rk += 1
-    assert not active
-    return rk
+    """Rank of m: the forward pass alone, in reversed column order."""
+    order = range(m.n_cols - 1, -1, -1)
+    return len(_forward(m, order, {c: i for i, c in enumerate(order)}))
 
 
 def solve_for(e: EchelonForm, col: int):
@@ -239,74 +209,3 @@ def solve_for(e: EchelonForm, col: int):
     if i is None:
         return None
     return {c: -v for c, v in e.rows[i].items() if c != col}
-
-
-# ---------------------------------------------------------------------------
-# textual matrix format: a header line, then one `idx:coeff ...` line per row
-
-def _fmt_coeff(v) -> str:
-    return str(Fraction(v))
-
-
-def _row_text(row: Mapping[int, object]) -> str:
-    return " ".join(f"{c}:{_fmt_coeff(v)}" for c, v in sorted(row.items()))
-
-
-def _parse_row(line: str) -> dict[int, Fraction]:
-    row = {}
-    for tok in line.split():
-        c, _, v = tok.partition(":")
-        row[int(c)] = Fraction(v)
-    return row
-
-
-def write_matrix(m: SparseMatrix, path, degree: int) -> None:
-    labels = m.column_labels or [str(i) for i in range(m.n_cols)]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"degree {degree} cols {m.n_cols} words "
-                 + " ".join(labels) + "\n")
-        for r in m.rows:
-            fh.write(_row_text(r) + "\n")
-
-
-def read_matrix(path) -> tuple[SparseMatrix, int]:
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().split()
-        if header[:1] != ["degree"] or header[2] != "cols" or \
-                header[4] != "words":
-            raise ValueError("malformed matrix header")
-        degree = int(header[1])
-        n_cols = int(header[3])
-        labels = header[5:]
-        if len(labels) != n_cols:
-            raise ValueError("label count mismatch in matrix header")
-        m = SparseMatrix(n_cols, labels)
-        for line in fh:
-            line = line.rstrip("\n")
-            m.add_row(_parse_row(line))
-    return m, degree
-
-
-def write_echelon(e: EchelonForm, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        scan = sorted(e.pivots, key=lambda c: e.pivots[c])
-        fh.write(f"cols {e.n_cols} pivots "
-                 + " ".join(str(c) for c in scan) + "\n")
-        for c in scan:
-            fh.write(_row_text(e.rows[e.pivots[c]]) + "\n")
-
-
-def read_echelon(path) -> EchelonForm:
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().split()
-        if header[:1] != ["cols"] or header[2] != "pivots":
-            raise ValueError("malformed echelon header")
-        n_cols = int(header[1])
-        scan = [int(c) for c in header[3:]]
-        rows = []
-        pivots = {}
-        for c in scan:
-            rows.append(_parse_row(fh.readline().rstrip("\n")))
-            pivots[c] = len(rows) - 1
-    order = scan + [c for c in range(n_cols) if c not in pivots]
-    return EchelonForm(n_cols, order, pivots, rows)

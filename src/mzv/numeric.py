@@ -202,14 +202,19 @@ def _params(target_digits: int):
 _value_cache: dict[Composition, NumericValue] = {}
 
 
+def _positive(tol):
+    tol = mp.mpf(tol)
+    if not (mp.isfinite(tol) and tol > 0):
+        raise ValueError(f"tolerance must be finite and positive, got {tol}")
+    return tol
+
+
 def mzv_numeric(comp, target_abs_err=1e-10) -> NumericValue:
     """Value of the nested sum with abs_error_bound <= target_abs_err."""
     comp = validate_comp(comp)
     if not is_admissible(comp):
         raise ValueError(f"index is not admissible: {comp!r}")
-    target = mp.mpf(target_abs_err)
-    if target <= 0:
-        raise ValueError("target_abs_err must be positive")
+    target = _positive(target_abs_err)
     hit = _value_cache.get(comp)
     if hit is not None and hit.abs_error_bound <= target:
         return hit
@@ -238,8 +243,9 @@ class IdentityValues:
 
 
 def identity_values(ident, tol=1e-6) -> IdentityValues:
-    """Evaluate both sides, spending half the tolerance per side."""
-    tol = mp.mpf(tol)
+    """Evaluate both sides, spending half the tolerance per side.  The
+    products and sums run with enough digits to resolve tol."""
+    tol = _positive(tol)
     budget = 0
     for side in (ident.lhs, ident.rhs):
         for mono, c in side.items():
@@ -250,16 +256,17 @@ def identity_values(ident, tol=1e-6) -> IdentityValues:
                 budget += abs(c) * nf * 2 ** (nf - 1)
     tau = (tol / 2) / max(float(budget), 1.0)
     sides = []
-    for side in (ident.lhs, ident.rhs):
-        total = mp.mpf(0)
-        for mono, c in side.items():
-            prod = mp.mpf(1)
-            for f in mono:
-                prod *= mzv_numeric(f, tau).value
-            total += mp.mpf(c.numerator if hasattr(c, "numerator") else c) \
-                / (c.denominator if hasattr(c, "denominator") else 1) * prod
-        sides.append(total)
-    return IdentityValues(sides[0], sides[1], abs(sides[0] - sides[1]), tol)
+    with mp.workdps(max(15, int(mp.ceil(-mp.log10(tol))) + 10)):
+        for side in (ident.lhs, ident.rhs):
+            total = mp.mpf(0)
+            for mono, c in side.items():
+                prod = mp.mpf(1)
+                for f in mono:
+                    prod *= mzv_numeric(f, tau).value
+                total += mp.mpf(c.numerator) / c.denominator * prod
+            sides.append(total)
+        return IdentityValues(sides[0], sides[1], abs(sides[0] - sides[1]),
+                              tol)
 
 
 def numeric_check(ident, tol=1e-6) -> bool:

@@ -1,9 +1,9 @@
 """Persistent cache for rewrite tables.
 
-One text file per degree, self-validating via a trailing sha256 line, plus a
-small manifest recording the format and engine versions.  Files written by a
-different engine version fail the header check and are treated as missing, so
-a version bump silently forces recomputation.  Serialization is fully
+One text file per degree, self-validating via a trailing sha256 line and
+headed by the format and engine versions.  Files written by a different
+engine version fail the header check and are treated as missing, so a version
+bump silently forces recomputation.  Serialization is fully
 deterministic: wiping the cache and rebuilding reproduces identical bytes.
 """
 
@@ -12,6 +12,8 @@ from __future__ import annotations
 import hashlib
 import os
 import re
+import tempfile
+from contextlib import suppress
 from fractions import Fraction
 from pathlib import Path
 
@@ -145,12 +147,10 @@ class TableStore:
         self._mem[table.degree] = table
         if self.root is None:
             return
-        self.root.mkdir(parents=True, exist_ok=True)
-        self._write(self._path(table.degree), _serialize(table))
-        manifest = self.root / "manifest"
-        want = f"mzv-cache {FORMAT_VERSION}\nengine {ENGINE_VERSION}\n"
-        if not manifest.exists() or manifest.read_text() != want:
-            self._write(manifest, want)
+        # a failed write is not fatal: the table stays in memory
+        with suppress(OSError):
+            self.root.mkdir(parents=True, exist_ok=True)
+            self._write(self._path(table.degree), _serialize(table))
 
     def wipe(self) -> None:
         self._mem.clear()
@@ -158,12 +158,16 @@ class TableStore:
             return
         for p in self.root.glob("degree-*.table"):
             p.unlink()
-        manifest = self.root / "manifest"
-        if manifest.exists():
-            manifest.unlink()
 
     @staticmethod
     def _write(path: Path, text: str) -> None:
-        tmp = path.with_name(path.name + ".tmp")
-        tmp.write_text(text)
-        os.replace(tmp, path)
+        # a private temp file per writer, swapped in atomically
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".",
+                                   suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w") as fh:
+                fh.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise

@@ -38,7 +38,6 @@ __all__ = [
     "h2_words",
     "all_words",
     "comp_weight",
-    "comp_depth",
     "is_admissible",
     "validate_comp",
     "comp_to_word",
@@ -47,7 +46,6 @@ __all__ = [
     "stuffle",
     "concat",
     "word_sort_key",
-    "format_rational",
     "format_word_poly",
     "format_comp",
     "parse_comp",
@@ -129,14 +127,7 @@ class LinComb:
     def __sub__(self, other: "LinComb") -> "LinComb":
         if not isinstance(other, LinComb):
             return NotImplemented
-        d = dict(self._terms)
-        for k, c in other._terms.items():
-            s = d.get(k, 0) - c
-            if s:
-                d[k] = s
-            else:
-                d.pop(k, None)
-        return LinComb._raw(d)
+        return self + -other
 
     def __neg__(self) -> "LinComb":
         return LinComb._raw({k: -c for k, c in self._terms.items()})
@@ -245,10 +236,6 @@ def validate_comp(c: Composition) -> Composition:
 
 def comp_weight(c: Composition) -> int:
     return sum(c)
-
-
-def comp_depth(c: Composition) -> int:
-    return len(c)
 
 
 def is_admissible(c: Composition) -> bool:
@@ -401,10 +388,6 @@ def stuffle(p: LinComb, q: LinComb) -> LinComb:
 
 # ---------------------------------------------------------------------------
 # printing
-
-def format_rational(c) -> str:
-    return str(Fraction(c))
-
 
 def _format_terms(pairs: list[tuple[str, object]]) -> str:
     """Render (monomial_text, coeff) pairs as a signed sum.

@@ -22,7 +22,6 @@ from mzv.conjectures import (
 )
 from mzv.engine import (
     Identity,
-    _MemoryCache,
     check_polynomial_freeness,
     echelonize_degree,
     express_in_generators,
@@ -35,6 +34,7 @@ from mzv.lyndon import radford_decompose
 from mzv.lyndon import expand as lyndon_expand
 from mzv.numeric import mzv_numeric, numeric_check
 from mzv.regularize import full_system, knt_system, x1_decompose
+from mzv.store import TableStore
 from mzv.words import (
     LinComb,
     all_words,
@@ -58,7 +58,7 @@ def knt_ranks():
 
 @pytest.fixture(scope="module")
 def cache():
-    c = _MemoryCache()
+    c = TableStore()
     echelonize_degree(10, c)
     return c
 

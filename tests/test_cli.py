@@ -133,6 +133,26 @@ def test_verify_numeric_failure(capsys):
     assert code == 1 and "numeric: FAIL" in out
 
 
+def test_verify_numeric_resolves_tiny_differences(capsys):
+    # the sides differ by 1e-20*z(3); the sum must keep enough digits to see it
+    code, out, _ = run(capsys, "verify",
+                       "z(2,1) = 100000000000000000001/100000000000000000000"
+                       "*z(3)", "--mode", "numeric", "--tol", "1e-30")
+    assert code == 1
+    assert "numeric: FAIL  |lhs - rhs| = 1.202e-20 > 1.0e-30" in out
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+@pytest.mark.parametrize("argv", [
+    ["numeric", "--comp", "2"],
+    ["verify", "z(2)*z(3) = z(5)", "--mode", "numeric"],
+])
+def test_bad_tolerance_is_usage_error(capsys, argv, tol):
+    code, out, err = run(capsys, *argv, "--tol", tol)
+    assert code == 2 and err.startswith("error:")
+    assert "PASS" not in out and "Traceback" not in err
+
+
 def test_verify_mixed_weight_is_usage_error(capsys):
     code, _, err = run(capsys, "verify", "z(2) = z(3)")
     assert code == 2 and "weight" in err

@@ -21,10 +21,12 @@ from mzv.conjectures import (
     mobius,
     n23_counts,
     two_three_lyndon,
-    verify_knt,
     verify_zagier,
     zagier_dims,
 )
+from mzv.linalg import rank
+from mzv.regularize import knt_system
+from mzv.store import TableStore
 
 DIMS_TO_12 = [1, 0, 1, 1, 1, 2, 2, 3, 4, 5, 7, 9, 12]
 N_TO_16 = [0, 0, 1, 1, 0, 1, 0, 1, 1, 1, 1, 2, 2, 3, 3, 4, 5]
@@ -53,9 +55,10 @@ def test_verify_zagier_rows():
         assert r.match
 
 
-def test_verify_knt_small():
-    for n in range(3, 9):
-        assert verify_knt(n)
+def test_verify_zagier_ranks_match_the_relation_systems():
+    # the table-derived ranks against an elimination that reads no table
+    for r in verify_zagier(8, TableStore()):
+        assert r.rank == rank(knt_system(r.degree))
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 from mzv.conjectures import n23_counts, zagier_dims
 from mzv.engine import (
     Identity,
-    _MemoryCache,
     canonical_monomial,
     check_polynomial_freeness,
     echelonize_degree,
@@ -29,6 +28,7 @@ from mzv.engine import (
     parse_generator_poly,
     verify_identity,
 )
+from mzv.store import TableStore
 from mzv.words import (
     LinComb,
     comp_to_word,
@@ -41,7 +41,7 @@ from mzv.words import (
 
 @pytest.fixture(scope="module")
 def cache():
-    c = _MemoryCache()
+    c = TableStore()
     echelonize_degree(9, c)
     return c
 
@@ -149,7 +149,7 @@ def test_non_admissible_rejected(cache):
 
 
 def test_rewrite_is_deterministic(cache):
-    fresh = _MemoryCache()
+    fresh = TableStore()
     assert express_in_generators((2, 3, 3), fresh) == \
         express_in_generators((2, 3, 3), cache)
 
@@ -241,7 +241,7 @@ def test_trivial_weight_zero_identity(cache):
 # basis preference override
 
 def test_lex_preference_builds_different_basis():
-    lex = _MemoryCache()
+    lex = TableStore()
     t = echelonize_degree(5, lex, prefer="lex")
     assert t.preference == "lex"
     assert tuple(word_to_comp(w) for w in t.basis_words) == \
@@ -249,7 +249,7 @@ def test_lex_preference_builds_different_basis():
 
 
 def test_lex_preference_weight_three_euler():
-    lex = _MemoryCache()
+    lex = TableStore()
     t = echelonize_degree(3, lex, prefer="lex")
     # lexicographically 011 < 001, so ζ(2,1) becomes the generator
     assert t.basis_words == ("011",)
@@ -258,7 +258,7 @@ def test_lex_preference_weight_three_euler():
 
 
 def test_identities_hold_under_either_preference(cache):
-    lex = _MemoryCache()
+    lex = TableStore()
     for text in ["z(2,1) = z(3)", "z(2,3) = 9/2*z(5) - 2*z(2)*z(3)",
                  "z(2)*z(2) = 2*z(2,2) + z(4)"]:
         ok, _ = verify_identity(ident(text), lex, prefer="lex")
@@ -268,7 +268,7 @@ def test_identities_hold_under_either_preference(cache):
 
 
 def test_preference_mismatch_raises(cache):
-    lex = _MemoryCache()
+    lex = TableStore()
     echelonize_degree(4, lex, prefer="lex")
     with pytest.raises(ValueError):
         echelonize_degree(4, lex, prefer="depth")
@@ -278,7 +278,7 @@ def test_preference_mismatch_raises(cache):
 
 def test_unknown_preference_rejected():
     with pytest.raises(ValueError):
-        echelonize_degree(3, _MemoryCache(), prefer="colex")
+        echelonize_degree(3, TableStore(), prefer="colex")
 
 
 # ---------------------------------------------------------------------------

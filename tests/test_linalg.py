@@ -11,17 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mzv.linalg import (
-    EchelonForm,
-    SparseMatrix,
-    rank,
-    read_echelon,
-    read_matrix,
-    rref,
-    solve_for,
-    write_echelon,
-    write_matrix,
-)
+from mzv.linalg import SparseMatrix, rank, rref, solve_for
 
 
 # ---------------------------------------------------------------------------
@@ -185,31 +175,3 @@ def test_row_space_preserved(m):
                     else:
                         work.pop(c2, None)
         assert not work
-
-
-# ---------------------------------------------------------------------------
-# files
-
-def test_matrix_file_roundtrip(tmp_path):
-    m = SparseMatrix(3, ["001", "011", "111"])
-    m.add_row({0: Fraction(1, 2), 2: -3})
-    m.add_row({})
-    m.add_row({1: 7})
-    p = tmp_path / "m.txt"
-    write_matrix(m, p, degree=3)
-    m2, deg = read_matrix(p)
-    assert deg == 3
-    assert m2.column_labels == m.column_labels
-    assert [{c: Fraction(v) for c, v in r.items()} for r in m2.rows] == \
-        [{0: Fraction(1, 2), 2: Fraction(-3)}, {}, {1: Fraction(7)}]
-
-
-def test_echelon_file_roundtrip(tmp_path):
-    m = from_dense([[1, 2, 0], [0, 0, 3]], 3)
-    e = rref(m, [0, 1, 2])
-    p = tmp_path / "e.txt"
-    write_echelon(e, p)
-    e2 = read_echelon(p)
-    assert e2.pivots == e.pivots
-    assert e2.rows == e.rows
-    assert e2.rank == e.rank

@@ -13,7 +13,6 @@ import pytest
 
 from mzv.engine import RewriteTable, echelonize_degree
 from mzv.store import (
-    FORMAT_VERSION,
     TableStore,
     _parse_word_terms,
     _serialize,
@@ -100,11 +99,16 @@ def test_rebuild_reproduces_identical_bytes(tmp_path):
     assert before == after
 
 
-def test_manifest_written_once(tmp_path):
-    build(tmp_path, 3)
-    manifest = tmp_path / "manifest"
-    assert manifest.read_text() == \
-        f"mzv-cache {FORMAT_VERSION}\nengine 1\n"
+def test_failed_write_keeps_table_in_memory(tmp_path, monkeypatch):
+    def refuse(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr("mzv.store.os.replace", refuse)
+    st = TableStore(tmp_path)
+    table = echelonize_degree(4, TableStore(None))
+    st.put(table)
+    assert st.get(4) is table
+    assert not list(tmp_path.iterdir())
 
 
 def test_serialization_is_deterministic():

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 from mzv.words import (
     LinComb,
     all_words,
-    comp_depth,
     comp_poly,
     comp_to_word,
     comp_weight,
@@ -126,7 +125,7 @@ def test_weight_depth_match_word_stats():
         for w in h1_words(n):
             c = word_to_comp(w)
             assert comp_weight(c) == len(w)
-            assert comp_depth(c) == w.count("1")
+            assert len(c) == w.count("1")
 
 
 def test_parse_comp():
