@@ -134,6 +134,9 @@ def cmd_dims(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.mode != "symbolic":
+        # a usage error comes before any work or output
+        numeric.check_tolerance(args.tol)
     ident = _parse_identity(args.identity)
     weight = engine.identity_weight(ident)
     if weight is not None and weight > 0:

@@ -1,24 +1,39 @@
 """Exact sparse linear algebra over the rationals.
 
-Rows are sparse mappings column-index -> coefficient.  Elimination is
-fraction-free internally: each row is scaled to integers, kept gcd-reduced,
-and combined by cross-multiplication; only the final normalization pass
-divides, producing pivot-1 rational rows.  The reduced echelon form for a
-given column order is unique, so the internal representation is not
-observable.  Pivot selection within a column takes the eligible row with the
-smallest total bit-size of its entries, ties broken by lowest original row
-index; this curbs coefficient growth and is deterministic.
+Rows are sparse mappings column-index -> coefficient.  `rref` computes the
+reduced row echelon form for a given column order with one modular kernel:
 
-One elimination loop, `_forward`, serves both entry points: `rref` adds
-back-substitution and normalization; `rank` counts its pivots, scanning
-columns in reversed index order (fastest on the relation systems).
+1. Each row is scaled to integers and divided by its content.
+2. The integer rows are reduced modulo a 61-bit prime p and eliminated in
+   column order; within a column the pivot is the eligible row with the
+   fewest nonzeros (ties: lowest original row index).  Back-substitution
+   mod p leaves pivot-1 rows.
+3. Every entry is lifted to Q by Chinese remaindering over the primes used
+   so far and Wang's rational reconstruction: a/b with |a|, b <= sqrt(M/2),
+   M the product of those primes.
+4. The lift R is certified with integers only, before it is returned:
+   - every raw row is orthogonal to the integer-scaled kernel vector
+     e_f - sum_c R_c[f] e_c of each free column f, so the row space lies
+     inside span(R);
+   - the rank mod p is |R|, which is at most the rank over Q;
+   - so span(R) is the row space, and R, checked to be in reduced echelon
+     form for the column order, is its unique RREF, whatever primes
+     produced it.
+
+When reconstruction or the certificate fails, the next prime of a fixed
+sequence (2^61 - 1, then the primes below it in decreasing order) is added.
+A prime whose pivot set is worse (lower rank, or later pivots in the column
+order) is unlucky and dropped; one with a better pivot set replaces those
+gathered so far.  Unlucky primes are finitely many, so the loop ends.
+
+`rank` is the pivot count of `rref` in reversed column order.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
-from typing import Iterable, Mapping, Sequence
+from math import gcd, isqrt, lcm
+from typing import Iterable, Iterator, Mapping, Sequence
 
 __all__ = [
     "SparseMatrix",
@@ -76,128 +91,224 @@ class EchelonForm:
 
 
 # ---------------------------------------------------------------------------
-# internal integer-row helpers
+# the modular kernel
 
 def _to_int_row(row: Mapping[int, object]) -> dict[int, int]:
-    den = 1
-    vals = {}
-    for c, v in row.items():
-        f = v if isinstance(v, Fraction) else Fraction(v)
-        if f:
-            vals[c] = f
-            den = den * f.denominator // gcd(den, f.denominator)
-    return {c: int(f * den) for c, f in vals.items()}
+    """row scaled to coprime integers (content removed)."""
+    vals = {c: v if isinstance(v, int) else Fraction(v)
+            for c, v in row.items() if v}
+    den = lcm(*(v.denominator for v in vals.values()))
+    ints = {c: int(v * den) for c, v in vals.items()}
+    g = gcd(*ints.values())
+    return ints if g == 1 else {c: v // g for c, v in ints.items()}
 
 
-def _reduce_row(row: dict[int, int], pos: dict[int, int]) -> dict[int, int]:
-    g = 0
-    for v in row.values():
-        g = gcd(g, v)
-        if g == 1:
-            break
-    if g > 1:
-        row = {c: v // g for c, v in row.items()}
-    # sign convention: leading entry (earliest in col_order) positive
-    lead = min(row, key=pos.__getitem__)
-    if row[lead] < 0:
-        row = {c: -v for c, v in row.items()}
-    return row
-
-
-def _bitsize(row: dict[int, int]) -> int:
-    return sum(v.bit_length() for v in row.values())
-
-
-def _combine(a: int, row2: dict[int, int], b: int, row1: dict[int, int],
-             drop: int) -> dict[int, int]:
-    # a*row2 - b*row1 with the drop column cancelling exactly
-    out = {}
-    for c, v in row2.items():
-        out[c] = a * v
-    for c, v in row1.items():
-        s = out.get(c, 0) - b * v
-        if s:
-            out[c] = s
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin for odd n > 37 with the first twelve prime bases, which
+    is exact below 3.3e24."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+        x = pow(b, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
         else:
-            out.pop(c, None)
-    out.pop(drop, None)
-    return out
+            return False
+    return True
 
 
-def _forward(m: SparseMatrix, col_order: Sequence[int],
-             pos: dict[int, int]) -> list[tuple[int, dict[int, int]]]:
-    """Forward elimination in col_order (pos: column -> place in it);
-    returns the (pivot column, integer row) pairs in scan order."""
-    active: list[tuple[int, dict[int, int]]] = []
-    for idx, r in enumerate(m.rows):
-        row = _to_int_row(r)
-        if row:
-            active.append((idx, _reduce_row(row, pos)))
+def _primes() -> Iterator[int]:
+    """2^61 - 1 (a Mersenne prime), then the primes below it in decreasing
+    order."""
+    n = (1 << 61) - 1
+    yield n
+    while True:
+        n -= 2
+        if _is_prime(n):
+            yield n
+
+
+def _eliminate(rows: list[dict[int, int]], col_order: Sequence[int],
+               p: int) -> list[tuple[int, dict[int, int]]]:
+    """RREF mod p: (pivot column, row without its pivot entry) in scan
+    order; each row holds only free columns later in col_order."""
+    active = []
+    for r in rows:
+        rr = {}
+        for c, v in r.items():
+            v %= p
+            if v:
+                rr[c] = v
+        if rr:
+            active.append(rr)
 
     echelon: list[tuple[int, dict[int, int]]] = []
     for c in col_order:
         if not active:
             break
         best = -1
-        best_key = None
-        for i, (orig, row) in enumerate(active):
-            if c in row:
-                key = (_bitsize(row), orig)
-                if best < 0 or key < best_key:
-                    best, best_key = i, key
+        best_len = 0
+        for i, row in enumerate(active):
+            if c in row and (best < 0 or len(row) < best_len):
+                best, best_len = i, len(row)
         if best < 0:
             continue
-        _, prow = active.pop(best)
-        a = prow[c]
+        prow = active.pop(best)
+        inv = pow(prow.pop(c), -1, p)
+        for k in prow:
+            prow[k] = prow[k] * inv % p
+        items = list(prow.items())
         nxt = []
-        for orig2, row2 in active:
-            b = row2.get(c)
+        for row in active:
+            b = row.pop(c, 0)
             if b:
-                row2 = _combine(a, row2, b, prow, c)
-                if row2:
-                    nxt.append((orig2, _reduce_row(row2, pos)))
-            else:
-                nxt.append((orig2, row2))
+                get = row.get
+                for k, v in items:
+                    s = (get(k, 0) - b * v) % p
+                    if s:
+                        row[k] = s
+                    else:
+                        del row[k]     # b * v != 0 mod p, so k was there
+                if not row:
+                    continue
+            nxt.append(row)
         active = nxt
         echelon.append((c, prow))
-    assert not active, "nonzero rows left after scanning every column"
+
+    # back-substitution: later rows are already reduced
+    reduced: dict[int, dict[int, int]] = {}
+    for c, row in reversed(echelon):
+        for cj in [k for k in row if k in reduced]:
+            e = row.pop(cj)
+            get = row.get
+            for k, v in reduced[cj].items():
+                s = (get(k, 0) - e * v) % p
+                if s:
+                    row[k] = s
+                else:
+                    del row[k]
+        reduced[c] = row
     return echelon
+
+
+def _ratrec(u: int, m: int, bound: int) -> Fraction | None:
+    """a/b = u mod m with |a|, b <= bound, or None."""
+    r0, r1, t0, t1 = m, u, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1 = r1, r0 - q * r1
+        t0, t1 = t1, t0 - q * t1
+    if not 0 < abs(t1) <= bound or gcd(r1, t1) != 1:
+        return None
+    return Fraction(r1, t1)
+
+
+def _lift(tails: dict[int, dict[int, int]],
+          m: int) -> dict[int, dict[int, Fraction]] | None:
+    bound = isqrt(m // 2)
+    memo: dict[int, Fraction] = {}
+    out = {}
+    for c, row in tails.items():
+        lifted = {}
+        for k, u in row.items():
+            q = memo.get(u)
+            if q is None:
+                q = _ratrec(u, m, bound)
+                if q is None:
+                    return None
+                memo[u] = q
+            lifted[k] = q
+        out[c] = lifted
+    return out
+
+
+def _certify(rows: list[dict[int, int]],
+             lifted: dict[int, dict[int, Fraction]],
+             pos: dict[int, int]) -> bool:
+    """The rows R_c (pivot c, implicit 1) are in reduced echelon form for
+    the column order, and every raw row is orthogonal to the integer-scaled
+    kernel vector D_f (e_f - sum_c R_c[f] e_c) of each free column f."""
+    scale: dict[int, int] = {}
+    for c, row in lifted.items():
+        for f, q in row.items():
+            if f in lifted or pos[f] < pos[c]:
+                return False
+            scale[f] = lcm(scale.get(f, 1), q.denominator)
+    kernel: dict[int, dict[int, int]] = {f: {f: d} for f, d in scale.items()}
+    for c, row in lifted.items():
+        kernel[c] = {f: -q.numerator * (scale[f] // q.denominator)
+                     for f, q in row.items()}
+    for r in rows:
+        acc: dict[int, int] = {}
+        for c, v in r.items():
+            ker = kernel.get(c)
+            if ker is None:
+                return False    # a free column no rule mentions: kernel e_c
+            for f, w in ker.items():
+                acc[f] = acc.get(f, 0) + v * w
+        if any(acc.values()):
+            return False
+    return True
 
 
 def rref(m: SparseMatrix, col_order: Sequence[int]) -> EchelonForm:
     """Reduced row echelon form scanning pivot columns in col_order.
 
     The result (pivot set and reduced rows) is the unique RREF of the row
-    space under that column order.
+    space under that column order, certified exactly over Q.
     """
     if sorted(col_order) != list(range(m.n_cols)):
         raise ValueError("col_order is not a permutation of the columns")
     pos = {c: i for i, c in enumerate(col_order)}
-    echelon = _forward(m, col_order, pos)
+    rows = [r for r in map(_to_int_row, m.rows) if r]
 
-    # back-substitution: clear later pivot columns from earlier rows
-    for i in range(len(echelon) - 2, -1, -1):
-        c_i, row = echelon[i]
-        for j in range(i + 1, len(echelon)):
-            c_j, rj = echelon[j]
-            e = row.get(c_j)
-            if e:
-                row = _combine(rj[c_j], row, e, rj, c_j)
-        echelon[i] = (c_i, _reduce_row(row, pos))
+    best_key = None
+    modulus = 1
+    tails: dict[int, dict[int, int]] = {}
+    for p in _primes():
+        echelon = _eliminate(rows, col_order, p)
+        key = (-len(echelon), [pos[c] for c, _ in echelon])
+        if best_key is not None and key > best_key:
+            continue                      # unlucky prime: worse pivots
+        if key != best_key:
+            best_key, modulus = key, 1
+            tails = {c: {} for c, _ in echelon}
+        # Garner step: combine residues mod modulus with residues mod p
+        minv = pow(modulus, -1, p)
+        for c, row in echelon:
+            old = tails[c]
+            for k in set(old) | set(row):
+                x = old.get(k, 0)
+                t = (row.get(k, 0) - x) * minv % p
+                x += modulus * t
+                if x:
+                    old[k] = x
+                else:
+                    old.pop(k, None)
+        modulus *= p
+        lifted = _lift(tails, modulus)
+        if lifted is not None and _certify(rows, lifted, pos):
+            break
 
     pivots: dict[int, int] = {}
-    rows: list[dict[int, Fraction]] = []
-    for c, row in echelon:
-        a = row[c]
-        rows.append({c2: Fraction(v, a) for c2, v in row.items()})
-        pivots[c] = len(rows) - 1
-    return EchelonForm(m.n_cols, col_order, pivots, rows)
+    out: list[dict[int, Fraction]] = []
+    for c, _ in echelon:
+        row = {c: Fraction(1)}
+        row.update(lifted[c])
+        pivots[c] = len(out)
+        out.append(row)
+    return EchelonForm(m.n_cols, col_order, pivots, out)
 
 
 def rank(m: SparseMatrix) -> int:
-    """Rank of m: the forward pass alone, in reversed column order."""
-    order = range(m.n_cols - 1, -1, -1)
-    return len(_forward(m, order, {c: i for i, c in enumerate(order)}))
+    """Rank of m: the pivot count of its RREF in reversed column order."""
+    return rref(m, range(m.n_cols - 1, -1, -1)).rank
 
 
 def solve_for(e: EchelonForm, col: int):

@@ -31,7 +31,7 @@ from mpmath import mp
 from .words import Composition, is_admissible, validate_comp
 
 __all__ = ["NumericValue", "mzv_numeric", "numeric_check", "identity_values",
-           "IdentityValues"]
+           "IdentityValues", "check_tolerance"]
 
 
 @dataclass(frozen=True)
@@ -202,7 +202,8 @@ def _params(target_digits: int):
 _value_cache: dict[Composition, NumericValue] = {}
 
 
-def _positive(tol):
+def check_tolerance(tol):
+    """tol as an mpf; ValueError unless it is finite and positive."""
     tol = mp.mpf(tol)
     if not (mp.isfinite(tol) and tol > 0):
         raise ValueError(f"tolerance must be finite and positive, got {tol}")
@@ -214,7 +215,7 @@ def mzv_numeric(comp, target_abs_err=1e-10) -> NumericValue:
     comp = validate_comp(comp)
     if not is_admissible(comp):
         raise ValueError(f"index is not admissible: {comp!r}")
-    target = _positive(target_abs_err)
+    target = check_tolerance(target_abs_err)
     hit = _value_cache.get(comp)
     if hit is not None and hit.abs_error_bound <= target:
         return hit
@@ -245,7 +246,7 @@ class IdentityValues:
 def identity_values(ident, tol=1e-6) -> IdentityValues:
     """Evaluate both sides, spending half the tolerance per side.  The
     products and sums run with enough digits to resolve tol."""
-    tol = _positive(tol)
+    tol = check_tolerance(tol)
     budget = 0
     for side in (ident.lhs, ident.rhs):
         for mono, c in side.items():

@@ -96,21 +96,26 @@ def _deserialize(text: str) -> RewriteTable | None:
         return None
     if lines[1] != f"engine {ENGINE_VERSION}":
         return None
-    degree = int(lines[2].split()[1])
-    preference = lines[3].split()[1]
-    basis = tuple(lines[4].split()[1:])
-    new = tuple(lines[5].split()[1:])
-    rules: dict[str, LinComb] = {}
-    gen_map: dict[str, LinComb] = {}
-    for line in lines[6:-1]:
-        if line.startswith("rule "):
-            head, expr = line[5:].split(" = ", 1)
-            rules[head] = _parse_word_terms(expr)
-        elif line.startswith("gen "):
-            head, expr = line[4:].split(" := ", 1)
-            gen_map[head] = parse_generator_poly(expr)
-        else:
-            return None
+    # a body that passes the checksum can still be malformed: treat it
+    # like a corrupt file, so it is discarded and rebuilt
+    try:
+        degree = int(lines[2].split()[1])
+        preference = lines[3].split()[1]
+        basis = tuple(lines[4].split()[1:])
+        new = tuple(lines[5].split()[1:])
+        rules: dict[str, LinComb] = {}
+        gen_map: dict[str, LinComb] = {}
+        for line in lines[6:-1]:
+            if line.startswith("rule "):
+                head, expr = line[5:].split(" = ", 1)
+                rules[head] = _parse_word_terms(expr)
+            elif line.startswith("gen "):
+                head, expr = line[4:].split(" := ", 1)
+                gen_map[head] = parse_generator_poly(expr)
+            else:
+                return None
+    except (ValueError, IndexError, ZeroDivisionError):
+        return None
     if set(gen_map) != set(basis):
         return None
     return RewriteTable(degree, basis, rules, gen_map, new, preference)

@@ -1,7 +1,9 @@
 """Exact linear algebra tests.
 
 rank is cross-checked against a brute-force determinant-minor oracle for
-matrices with at most 8 columns, per the module contract.
+matrices with at most 8 columns, per the module contract; rref against a
+dense Fraction Gauss-Jordan oracle, with entries large enough that the
+modular kernel needs several primes.
 """
 
 from fractions import Fraction
@@ -11,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mzv.linalg import SparseMatrix, rank, rref, solve_for
+from mzv.linalg import SparseMatrix, _primes, rank, rref, solve_for
 
 
 # ---------------------------------------------------------------------------
@@ -44,6 +46,25 @@ def rank_oracle(m: SparseMatrix) -> int:
                 if det(sub):
                     return k
     return best
+
+
+def rref_oracle(m: SparseMatrix, order: list[int]):
+    """Dense Gauss-Jordan over Fraction: (pivot columns, {pivot: row})."""
+    work = [[Fraction(r.get(c, 0)) for c in range(m.n_cols)]
+            for r in m.rows]
+    done: list[tuple[int, list[Fraction]]] = []
+    for c in order:
+        i = next((i for i, r in enumerate(work) if r[c]), None)
+        if i is None:
+            continue
+        prow = work.pop(i)
+        prow = [v / prow[c] for v in prow]
+        work = [[v - r[c] * pv for v, pv in zip(r, prow)] for r in work]
+        done = [(c2, [v - r[c] * pv for v, pv in zip(r, prow)])
+                for c2, r in done]
+        done.append((c, prow))
+    return ([c for c, _ in done],
+            {c: {k: v for k, v in enumerate(r) if v} for c, r in done})
 
 
 def from_dense(rows, n_cols) -> SparseMatrix:
@@ -112,6 +133,19 @@ def test_solve_for():
     assert solve_for(e, 1) is None
 
 
+def test_unlucky_first_prime():
+    p0 = next(_primes())
+    # equal rows mod p0, independent over Q
+    e = rref(from_dense([[1, 1], [1, 1 + p0]], 2), [0, 1])
+    assert e.pivots == {0: 0, 1: 1}
+    assert e.rows == [{0: 1}, {1: 1}]
+    # p0 divides the first row's content and the second row's denominator
+    m = from_dense([[p0, 2 * p0, 0], [0, 1, Fraction(1, p0)]], 3)
+    e = rref(m, [0, 1, 2])
+    assert e.pivots == {0: 0, 1: 1}
+    assert e.rows == [{0: 1, 2: Fraction(-2, p0)}, {1: 1, 2: Fraction(1, p0)}]
+
+
 def test_rejects_bad_col_order():
     m = from_dense([[1]], 1)
     with pytest.raises(ValueError):
@@ -142,6 +176,30 @@ def test_rank_invariances(m, rng):
     order = list(range(m.n_cols))
     rng.shuffle(order)
     assert rref(m, order).rank == r
+
+
+big_matrices_st = st.integers(1, 5).flatmap(
+    lambda nc: st.tuples(
+        st.lists(
+            st.lists(st.one_of(st.just(0),
+                               st.integers(2**90, 2**100),
+                               st.integers(-2**100, -2**90),
+                               st.fractions(min_value=-9, max_value=9,
+                                            max_denominator=9)),
+                     min_size=nc, max_size=nc),
+            min_size=0, max_size=5).map(lambda rows: from_dense(rows, nc)),
+        st.permutations(range(nc))))
+
+
+@given(big_matrices_st)
+@settings(max_examples=60, deadline=None)
+def test_rref_matches_gauss_jordan_oracle(case):
+    m, order = case
+    pivots, rows = rref_oracle(m, order)
+    e = rref(m, order)
+    assert list(e.pivots) == pivots
+    assert e.pivots == {c: i for i, c in enumerate(pivots)}
+    assert e.rows == [rows[c] for c in pivots]
 
 
 @given(matrices_st)

@@ -7,10 +7,13 @@ rather than exceptions.
 """
 
 import hashlib
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from mzv import cli
 from mzv.engine import RewriteTable, echelonize_degree
 from mzv.store import (
     TableStore,
@@ -19,6 +22,17 @@ from mzv.store import (
     resolve_root,
 )
 from mzv.words import LinComb
+
+EXPECTED = Path(__file__).resolve().parents[1] / "bench" / "expected.json"
+
+
+def rewrite_line(path, index, line):
+    """Replace one body line and re-sign the file with a valid checksum."""
+    lines = path.read_text().splitlines()[:-1]
+    lines[index] = line
+    body = "\n".join(lines) + "\n"
+    digest = hashlib.sha256(body.encode()).hexdigest()
+    path.write_text(body + f"checksum {digest}\n")
 
 
 def build(root, up_to=6):
@@ -77,14 +91,24 @@ def test_truncated_file_is_a_miss(tmp_path):
 
 def test_stale_engine_version_is_a_miss(tmp_path):
     build(tmp_path, 4)
-    path = tmp_path / "degree-04.table"
-    lines = path.read_text().splitlines()[:-1]
-    lines[1] = "engine 0"
-    body = "\n".join(lines) + "\n"
-    digest = hashlib.sha256(body.encode()).hexdigest()
-    path.write_text(body + f"checksum {digest}\n")
+    rewrite_line(tmp_path / "degree-04.table", 1, "engine 0")
     # checksum is valid, the version gate alone must reject it
     assert TableStore(tmp_path).get(4) is None
+
+
+@pytest.mark.parametrize("index, line", [
+    (2, "degree"),
+    (6, "rule 011 = 1*0x1"),
+    (6, "rule 011 = 1/0*001"),
+])
+def test_malformed_body_is_discarded_and_rebuilt(tmp_path, capsys,
+                                                 index, line):
+    build(tmp_path, 3)
+    rewrite_line(tmp_path / "degree-03.table", index, line)
+    assert TableStore(tmp_path).get(3) is None
+    code = cli.main(["--cache-dir", str(tmp_path), "rewrite", "2,1"])
+    assert code == 0 and capsys.readouterr().out == "z(3)\n"
+    assert TableStore(tmp_path).get(3) is not None
 
 
 def test_rebuild_reproduces_identical_bytes(tmp_path):
@@ -109,6 +133,17 @@ def test_failed_write_keeps_table_in_memory(tmp_path, monkeypatch):
     st.put(table)
     assert st.get(4) is table
     assert not list(tmp_path.iterdir())
+
+
+def test_tables_match_the_recorded_digests(tmp_path):
+    # the RREF for a column order is unique, so any correct elimination
+    # kernel must reproduce the recorded table files byte for byte
+    expected = json.loads(EXPECTED.read_text())["tables"]
+    build(tmp_path, 10)
+    for n in range(2, 11):
+        name = f"degree-{n:02d}.table"
+        data = (tmp_path / name).read_bytes()
+        assert hashlib.sha256(data).hexdigest() == expected[name], name
 
 
 def test_serialization_is_deterministic():
