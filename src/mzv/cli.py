@@ -2,8 +2,9 @@
 
 Exit codes are a stable scripting contract: 0 on success, 1 when a
 mathematical check fails (a mismatch, a failed identity, a violated
-invariant), 2 on usage or parse errors.  `--records` switches every report
-from aligned tables to line-oriented machine-readable records.
+invariant), 2 on usage or parse errors and on a numeric tolerance the series
+cannot reach.  `--records` switches every report from aligned tables to
+line-oriented machine-readable records.
 """
 
 from __future__ import annotations
@@ -381,7 +382,8 @@ def main(argv=None) -> int:
         ap.error(f"--ceiling must be between 2 and {HARD_CEILING}")
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, ArithmeticError) as exc:
+        # ArithmeticError: a numeric target the series cannot reach
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -13,13 +13,19 @@ else becomes a new generator.  The resulting generator_map turns any
 admissible index into a polynomial in the generators, which is the normal
 form used to verify identities.
 
-The freeness check re-expresses the weight-n rows in Lyndon-monomial
-variables, substitutes the lower-weight generator expressions into every
-product factor, and echelonizes scanning the single-Lyndon-word columns
-first; the criterion holds when every pivot lands on a single.  Substituting
-first is what makes the check meaningful: without it, products of
-lower-weight relations (already consequences of smaller tables) masquerade
-as product-only rows and steal pivots.
+The freeness check takes one row per rule of the weight-n table: u - sum
+c_b b for the rule u -> sum c_b b.  Each word goes through the per-word
+Radford map phi (lyndon.radford_decompose, memoized) into Lyndon-monomial
+variables; every product monomial is then substituted through the
+lower-weight generator expressions, once per distinct monomial; and the rows
+are echelonized scanning the single-Lyndon-word columns first.  The criterion
+holds when every pivot lands on a single.  The rule rows span the row space
+of the relation system, phi and the substitution are linear, and the RREF of
+a span is unique for a column order, so these rows give the pivots the raw
+relation rows would.  Substituting first is what makes the check
+meaningful: without it, products of lower-weight relations (already
+consequences of smaller tables) masquerade as product-only rows and steal
+pivots.
 """
 
 from __future__ import annotations
@@ -27,9 +33,10 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .linalg import SparseMatrix, rref, solve_for
-from .lyndon import lyndon_words, radford_decompose_poly
+from .lyndon import LyndonMonomial, lyndon_words, radford_decompose
 from .regularize import knt_system
 from .words import (
     Composition,
@@ -42,7 +49,6 @@ from .words import (
     in_h2,
     is_admissible,
     stuffle,
-    word_sort_key,
     word_to_comp,
 )
 
@@ -339,9 +345,10 @@ class FreenessReport:
 
 def check_polynomial_freeness(n: int, cache=None,
                               prefer: str = "depth") -> FreenessReport:
-    """Echelonize the weight-n rows over Lyndon-monomial variables (products
-    substituted through lower-weight generator expressions) scanning single
-    columns first; passes when no pivot falls on a product column."""
+    """Echelonize the rule rows of the weight-n table over Lyndon-monomial
+    variables (products substituted through lower-weight generator
+    expressions) scanning single columns first; passes when no pivot falls
+    on a product column.  Builds and caches the tables up to weight n."""
     if n < 2:
         raise ValueError("weight must be at least 2")
     key = _pref(prefer)
@@ -349,43 +356,45 @@ def check_polynomial_freeness(n: int, cache=None,
     singles = [l for l in lyndon_words(n) if in_h2(l)]
     if n == 2:
         return FreenessReport(2, True, tuple(singles), ())
+    table = echelonize_degree(n, cache, prefer)
 
-    gp_of_factor: dict[Word, LinComb] = {}
+    # every word of a rule is an H2 word of weight n, and so is every word
+    # its decomposition passes through; decreasing order is the cheaper one
+    for w in sorted({w for u, r in table.rules.items() for w in (u, *r)},
+                    reverse=True):
+        radford_decompose(w)
 
-    def factor_poly(l: Word) -> LinComb:
-        hit = gp_of_factor.get(l)
-        if hit is None:
-            hit = express_in_generators(word_to_comp(l), cache, prefer)
-            gp_of_factor[l] = hit
-        return hit
+    @functools.cache
+    def factor(l: Word) -> LinComb:
+        return express_in_generators(word_to_comp(l), cache, prefer)
 
-    mat = knt_system(n)
-    words = mat.column_labels
+    @functools.cache
+    def substitute(mono: LyndonMonomial) -> tuple[dict, int]:
+        """Column coefficients of one Lyndon monomial, as integers over a
+        common denominator: a single stays, a product goes through the
+        generator expressions of its factors."""
+        if len(mono) == 1:
+            return {("s", mono[0]): 1}, 1
+        gp = LinComb.term(())
+        for f in mono:
+            gp = gp_mul(gp, factor(f))
+        den = lcm(*(Fraction(v).denominator for _, v in gp.items()))
+        return {("p", g): int(v * den) for g, v in gp.items()}, den
+
+    # one row per rule u -> sum c_b b: phi(u) - sum c_b phi(b), substituted
+    # and scaled to integers (a scale does not change the row space)
     sub_rows = []
-    product_cols: set[GeneratorMonomial] = set()
-    for row in mat.rows:
-        lp = radford_decompose_poly(
-            LinComb._raw({words[c]: v for c, v in row.items()}))
-        out: dict = {}
-
-        def bump(key, delta) -> None:
-            s = out.get(key, 0) + delta
-            if s:
-                out[key] = s
-            elif key in out:
-                del out[key]
-
-        for mono, coeff in lp.items():
-            if len(mono) == 1:
-                bump(("s", mono[0]), coeff)
-            else:
-                gp = LinComb.term(())
-                for f in mono:
-                    gp = gp_mul(gp, factor_poly(f))
-                for gmono, gcoeff in gp.items():
-                    product_cols.add(gmono)
-                    bump(("p", gmono), coeff * gcoeff)
-        sub_rows.append(out)
+    for u, r in table.rules.items():
+        lp = radford_decompose(u) - r.map_linear(radford_decompose)
+        terms = [(c, *substitute(mono)) for mono, c in lp.items()]
+        den = lcm(*(c.denominator * d for c, _, d in terms))
+        row: dict = {}
+        for c, sub, d in terms:
+            f = c.numerator * (den // (c.denominator * d))
+            for k, v in sub.items():
+                row[k] = row.get(k, 0) + f * v
+        sub_rows.append({k: v for k, v in row.items() if v})
+    product_cols = {k[1] for row in sub_rows for k in row if k[0] == "p"}
 
     # singles scanned first, least preferred first within them
     single_cols = sorted(singles, key=key, reverse=True)

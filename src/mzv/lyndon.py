@@ -12,14 +12,16 @@ expansion of the monomial built from a word's Chen-Fox-Lyndon factors has
 that word as its lexicographically largest term, with coefficient equal to
 the product of the factor multiplicities' factorials.  The right-residual
 derivation machinery is included as well; it is an alternative route to the
-same decomposition and is exercised by the test suite (Leibniz rule), but
-the triangular rewrite is what the relation engine runs on.
+same decomposition and is exercised by the test suite (Leibniz rule).  The
+engine's freeness check runs on the per-word map radford_decompose, whose
+results stay in a memo for the life of the process.
 """
 
 from __future__ import annotations
 
+import heapq
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd, lcm
 
 from .words import LinComb, Word, concat, shuffle, word_poly
 
@@ -182,41 +184,59 @@ def radford_decompose_poly(p: LinComb) -> LinComb:
     tuple is the constant term.  Triangular rewriting on the current leading
     word (lexicographically largest, '0' < '1'); each step replaces it by
     strictly smaller words of the same length, so the loop terminates.
-    Decompositions of single words seen along the way are memoized.
+    Words already in the per-word memo are substituted from it.
+
+    The words still to rewrite carry integer numerators over one common
+    denominator, raised only when a leading coefficient does not divide.
     """
-    result: dict[LyndonMonomial, object] = {}
-    work = dict(p.items())
-    while work:
-        w = max(work)
-        c = work.pop(w)
-        if not w:
-            result[()] = result.get((), 0) + c
-            continue
-        hit = _radford_memo.get(w)
+    result: dict[LyndonMonomial, Fraction] = {}
+
+    def add(mono: LyndonMonomial, v: Fraction) -> None:
+        s = result.get(mono, 0) + v
+        if s:
+            result[mono] = s
+        else:
+            result.pop(mono, None)
+
+    den = lcm(1, *(Fraction(c).denominator for _, c in p.items()))
+    work = {w: int(c * den) for w, c in p.items()}
+    # max-heap on (length, word): within a length, binary value is lex order
+    heap = [(-len(w), -int(w or "0", 2), w) for w in work]
+    heapq.heapify(heap)
+    while heap:
+        w = heapq.heappop(heap)[2]
+        c = work.pop(w, 0)
+        if not c:
+            continue                      # cancelled, or a stale entry
+        # the empty word is the constant monomial
+        hit = _radford_memo.get(w) if w else LinComb.term(())
         if hit is not None:
             for mono, c2 in hit.items():
-                s = result.get(mono, 0) + c * c2
-                if s:
-                    result[mono] = s
-                else:
-                    del result[mono]
+                add(mono, Fraction(c, den) * c2)
             continue
         mono = tuple(sorted(cfl_factor(w)))
         lead = _multiplicity_factorial(mono)
-        coeff = Fraction(c, lead)
-        result[mono] = result.get(mono, 0) + coeff
-        if not result[mono]:
-            del result[mono]
         # the expansion's top term is exactly lead * w, which we popped
+        g = lead // gcd(c, lead)
+        if g > 1:
+            den *= g
+            c *= g
+            for k in work:
+                work[k] *= g
+        add(mono, Fraction(c, den * lead))
+        q = c // lead
         for w2, c2 in monomial_expand(mono).items():
             if w2 == w:
                 continue
-            s = work.get(w2, 0) - coeff * c2
+            s = work.get(w2, 0)
+            if not s:
+                heapq.heappush(heap, (-len(w2), -int(w2, 2), w2))
+            s -= q * c2
             if s:
                 work[w2] = s
             else:
-                work.pop(w2, None)
-    return LinComb({k: v for k, v in result.items() if v})
+                del work[w2]
+    return LinComb._raw(result)
 
 
 def radford_decompose(w: Word) -> LinComb:

@@ -21,9 +21,10 @@ from .engine import (
     ENGINE_VERSION,
     RewriteTable,
     format_generator_poly,
+    monomial_weight,
     parse_generator_poly,
 )
-from .words import LinComb, _format_terms, word_sort_key
+from .words import LinComb, _format_terms, in_h2, word_sort_key
 
 __all__ = ["FORMAT_VERSION", "TableStore", "resolve_root"]
 
@@ -96,8 +97,8 @@ def _deserialize(text: str) -> RewriteTable | None:
         return None
     if lines[1] != f"engine {ENGINE_VERSION}":
         return None
-    # a body that passes the checksum can still be malformed: treat it
-    # like a corrupt file, so it is discarded and rebuilt
+    # a body that passes the checksum can still be malformed, or speak of
+    # another weight: treat it like a corrupt file, so it is rebuilt
     try:
         degree = int(lines[2].split()[1])
         preference = lines[3].split()[1]
@@ -116,7 +117,16 @@ def _deserialize(text: str) -> RewriteTable | None:
                 return None
     except (ValueError, IndexError, ZeroDivisionError):
         return None
-    if set(gen_map) != set(basis):
+    if set(gen_map) != set(basis) or not set(new) <= set(basis):
+        return None
+    # every word and every generator monomial has the file's weight (each
+    # distinct word is checked once)
+    words = set(basis).union(rules, *rules.values())
+    if not all(len(w) == degree and in_h2(w) and not w.strip("01")
+               for w in words):
+        return None
+    if any(monomial_weight(m) != degree
+           for gp in gen_map.values() for m in gp):
         return None
     return RewriteTable(degree, basis, rules, gen_map, new, preference)
 

@@ -7,8 +7,9 @@ so runs never touch the working tree.
 """
 
 import pytest
+from mpmath import mp
 
-from mzv import cli
+from mzv import cli, numeric
 
 
 @pytest.fixture(autouse=True)
@@ -194,6 +195,20 @@ def test_numeric_records(capsys):
     assert code == 0
     assert out.split()[:2] == ["numeric", "2,1"]
     assert out.split()[2].startswith("1.2020569")
+
+
+@pytest.mark.parametrize("argv", [
+    ["numeric", "--comp", "3,2"],
+    ["verify", "z(2)*z(3) = z(5)", "--mode", "numeric"],
+])
+def test_unreachable_target_is_usage_error(capsys, monkeypatch, argv):
+    # every attempt leaves an error bound above the target
+    monkeypatch.setattr(numeric, "_value_cache", {})
+    monkeypatch.setattr(numeric, "_compute",
+                        lambda *args: (mp.mpf(1), mp.mpf(1)))
+    code, out, err = run(capsys, *argv, "--tol", "1e-8")
+    assert code == 2 and err.startswith("error: could not reach target")
+    assert out == "" and "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------

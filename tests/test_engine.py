@@ -16,6 +16,8 @@ from hypothesis import strategies as st
 
 from mzv.conjectures import n23_counts, zagier_dims
 from mzv.engine import (
+    PREFERENCES,
+    FreenessReport,
     Identity,
     canonical_monomial,
     check_polynomial_freeness,
@@ -28,11 +30,15 @@ from mzv.engine import (
     parse_generator_poly,
     verify_identity,
 )
+from mzv.linalg import SparseMatrix, rref
+from mzv.lyndon import lyndon_words, radford_decompose_poly
+from mzv.regularize import knt_system
 from mzv.store import TableStore
 from mzv.words import (
     LinComb,
     comp_to_word,
     h2_words,
+    in_h2,
     shuffle,
     stuffle,
     word_to_comp,
@@ -298,6 +304,50 @@ def test_freeness_survivors_match_table_generators(cache):
         rep = check_polynomial_freeness(n, cache)
         t = echelonize_degree(n, cache)
         assert rep.new_generators == t.new_generators
+
+
+def freeness_from_raw_rows(n, cache, prefer):
+    """Test oracle: the check run on every raw row of knt_system(n), each
+    rewritten in Lyndon monomials by the triangular rewrite and substituted
+    term by term."""
+    key = PREFERENCES[prefer]
+    singles = [l for l in lyndon_words(n) if in_h2(l)]
+    mat = knt_system(n)
+    words = mat.column_labels
+    rows = []
+    for row in mat.rows:
+        lp = radford_decompose_poly(
+            LinComb({words[c]: v for c, v in row.items()}))
+        out = LinComb.zero()
+        for mono, coeff in lp.items():
+            if len(mono) == 1:
+                out = out + LinComb.term(("s", mono[0]), coeff)
+                continue
+            gp = LinComb.term(())
+            for f in mono:
+                gp = gp_mul(gp, express_in_generators(word_to_comp(f),
+                                                      cache, prefer))
+            out = out + coeff * gp.map_keys(lambda g: ("p", g))
+        rows.append(out)
+    labels = [("s", l) for l in sorted(singles, key=key, reverse=True)] + \
+        [("p", g) for g in sorted({k[1] for r in rows for k in r
+                                   if k[0] == "p"})]
+    index = {k: i for i, k in enumerate(labels)}
+    ech = rref(SparseMatrix(len(labels), rows=(
+        {index[k]: v for k, v in r.items()} for r in rows)),
+        range(len(labels)))
+    survivors = sorted((l for l in singles if index[("s", l)] not in
+                        ech.pivots), key=key)
+    bad = tuple(labels[c][1] for c in ech.pivots if labels[c][0] == "p")
+    return FreenessReport(n, not bad, tuple(survivors), bad)
+
+
+@pytest.mark.parametrize("prefer", ["depth", "lex"])
+def test_freeness_matches_the_raw_row_oracle(prefer):
+    cache = TableStore()
+    for n in range(3, 10):
+        want = freeness_from_raw_rows(n, cache, prefer)
+        assert check_polynomial_freeness(n, cache, prefer) == want, n
 
 
 # ---------------------------------------------------------------------------

@@ -125,8 +125,8 @@ def test_radford_single_words():
     assert radford_decompose("10") == LinComb({("0", "1"): 1, ("01",): -1})
 
 
-@given(st.lists(st.tuples(words_st, st.integers(-3, 3)), min_size=0,
-                max_size=4))
+@given(st.lists(st.tuples(words_st, st.fractions(-3, 3, max_denominator=6)),
+                min_size=0, max_size=4))
 @settings(max_examples=60, deadline=None)
 def test_radford_roundtrip(pairs):
     p = LinComb.zero()

@@ -100,6 +100,11 @@ def test_stale_engine_version_is_a_miss(tmp_path):
     (2, "degree"),
     (6, "rule 011 = 1*0x1"),
     (6, "rule 011 = 1/0*001"),
+    # checksum-valid, well-formed, but of another weight
+    (7, "gen 001 := z(99999999999999999999999)"),
+    (6, "rule 011 = 0001"),
+    (6, "rule 0011 = 001"),
+    (5, "new 001 011"),
 ])
 def test_malformed_body_is_discarded_and_rebuilt(tmp_path, capsys,
                                                  index, line):
