@@ -6,10 +6,13 @@ columns form the basis of the weight-n span.  Preference ranks words by
 depth, then first index part descending, then index parts lexicographically;
 this reproduces the published generator choices (5), (7), (6,2), (9), (8,2).
 
-Basis words are then resolved greedily against products of the generators
-accumulated from lower weights: a basis word whose coordinate vector lies in
-the span of those product values is recorded as that combination, anything
-else becomes a new generator.  The resulting generator_map turns any
+Basis words are then resolved against products of the generators
+accumulated from lower weights by one RREF whose rows are the basis
+coordinates and whose columns are the product values, then the unit vector
+of each basis word in preference order.  A basis column that takes a pivot
+lies outside the span of the columns before it and becomes a new generator;
+any other basis column is its unique combination of the pivot columns before
+it, read off its RREF column.  The resulting generator_map turns any
 admissible index into a polynomial in the generators, which is the normal
 form used to verify identities.
 
@@ -35,7 +38,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .linalg import SparseMatrix, rref, solve_for
+from .linalg import SparseMatrix, rref
 from .lyndon import LyndonMonomial, lyndon_words, radford_decompose
 from .regularize import knt_system
 from .words import (
@@ -180,39 +183,7 @@ def _product_value(mono: GeneratorMonomial, table: "RewriteTable") -> LinComb:
     p = LinComb.term(mono[0])
     for f in mono[1:]:
         p = stuffle(p, LinComb.term(f))
-    out = LinComb.zero()
-    for comp, c in p.items():
-        out = out + c * table.coords(comp_to_word(comp))
-    return out
-
-
-def _solve_in_span(cands: list[tuple], target: LinComb,
-                   basis_words: tuple[Word, ...]):
-    """Express target as a combination of candidate vectors, free candidates
-    set to zero; None when target lies outside the span.
-
-    cands: list of (key, LinComb-over-basis-words)."""
-    M = len(cands)
-    mat = SparseMatrix(M + 1)
-    for b in basis_words:
-        row = {}
-        for j, (_, vec) in enumerate(cands):
-            v = vec[b]
-            if v:
-                row[j] = v
-        t = target[b]
-        if t:
-            row[M] = t
-        mat.add_row(row)
-    e = rref(mat, list(range(M + 1)))
-    if M in e.pivots:
-        return None
-    sol = {}
-    for j, ri in e.pivots.items():
-        v = e.rows[ri].get(M, 0)
-        if v:
-            sol[cands[j][0]] = v
-    return LinComb._raw(sol)
+    return p.map_linear(lambda comp: table.coords(comp_to_word(comp)))
 
 
 def echelonize_degree(n: int, cache=None, prefer: str = "depth") -> RewriteTable:
@@ -241,32 +212,40 @@ def echelonize_degree(n: int, cache=None, prefer: str = "depth") -> RewriteTable
     order = sorted(range(len(words)),
                    key=lambda i: key(words[i]), reverse=True)
     ech = rref(mat, order)
-    basis_idx = sorted((i for i in range(len(words)) if i not in ech.pivots),
-                       key=lambda i: key(words[i]))
-    basis_words = tuple(words[i] for i in basis_idx)
+    basis_words = tuple(sorted((w for i, w in enumerate(words)
+                                if i not in ech.pivots), key=key))
     rules: dict[Word, LinComb] = {}
-    for c_idx in ech.pivots:
-        expr = solve_for(ech, c_idx)
-        rules[words[c_idx]] = LinComb._raw(
-            {words[j]: v for j, v in expr.items()})
-
+    for c, i in ech.pivots.items():
+        rules[words[c]] = LinComb._raw(
+            {words[j]: -v for j, v in ech.rows[i].items() if j != c})
     table = RewriteTable(n, basis_words, rules, {}, (), prefer)
 
+    # rows: basis coordinates; columns: the product values, then the unit
+    # vector of each basis word in preference order
     gens = [word_to_comp(w) for m in range(2, n)
             for w in cache.get(m).new_generators]
-    cands = [(mono, _product_value(mono, table))
-             for mono in _product_monomials(gens, n)]
+    monos = _product_monomials(gens, n)
+    row_of = {b: i for i, b in enumerate(basis_words)}
+    rows = [{len(monos) + i: 1} for i in range(len(basis_words))]
+    for j, mono in enumerate(monos):
+        for b, v in _product_value(mono, table).items():
+            rows[row_of[b]][j] = v
+    keys = monos + [(word_to_comp(b),) for b in basis_words]
+    res = rref(SparseMatrix(len(keys), rows=rows), range(len(keys)))
+
+    # a pivot basis column is a new generator; any other column is its own
+    # RREF column over the pivot columns before it
     gen_map: dict[Word, LinComb] = {}
     new_gens: list[Word] = []
-    for b in basis_words:
-        target = LinComb.term(b)
-        sol = _solve_in_span(cands, target, basis_words)
-        if sol is None:
+    for i, b in enumerate(basis_words):
+        c = len(monos) + i
+        if c in res.pivots:
             new_gens.append(b)
-            gen_map[b] = LinComb.term((word_to_comp(b),))
-            cands.append(((word_to_comp(b),), target))
+            gen_map[b] = LinComb.term(keys[c])
         else:
-            gen_map[b] = sol
+            gen_map[b] = LinComb._raw({keys[p]: res.rows[r][c]
+                                       for p, r in res.pivots.items()
+                                       if c in res.rows[r]})
 
     table = RewriteTable(n, basis_words, rules, gen_map, tuple(new_gens),
                          prefer)
@@ -281,10 +260,8 @@ def express_in_generators(c: Composition, cache=None,
         raise ValueError(f"index is not admissible: {c!r}")
     cache = _resolve(cache)
     table = echelonize_degree(comp_weight(c), cache, prefer)
-    out = LinComb.zero()
-    for b, v in table.coords(comp_to_word(c)).items():
-        out = out + v * table.generator_map[b]
-    return out
+    return table.coords(comp_to_word(c)).map_linear(
+        table.generator_map.__getitem__)
 
 
 # ---------------------------------------------------------------------------

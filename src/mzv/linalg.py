@@ -40,7 +40,6 @@ __all__ = [
     "EchelonForm",
     "rref",
     "rank",
-    "solve_for",
 ]
 
 
@@ -75,10 +74,9 @@ class SparseMatrix:
 
 
 class EchelonForm:
-    def __init__(self, n_cols: int, col_order: Sequence[int],
-                 pivots: dict[int, int], rows: list[dict[int, Fraction]]):
+    def __init__(self, n_cols: int, pivots: dict[int, int],
+                 rows: list[dict[int, Fraction]]):
         self.n_cols = n_cols
-        self.col_order = tuple(col_order)
         self.pivots = pivots
         self.rows = rows
 
@@ -303,20 +301,10 @@ def rref(m: SparseMatrix, col_order: Sequence[int]) -> EchelonForm:
         row.update(lifted[c])
         pivots[c] = len(out)
         out.append(row)
-    return EchelonForm(m.n_cols, col_order, pivots, out)
+    return EchelonForm(m.n_cols, pivots, out)
 
 
 def rank(m: SparseMatrix) -> int:
     """Rank of m: the pivot count of its RREF in reversed column order."""
     return rref(m, range(m.n_cols - 1, -1, -1)).rank
 
-
-def solve_for(e: EchelonForm, col: int):
-    """Expression of a pivot column in the free columns, or None if free.
-
-    Returns {free_col: coeff} with x_col = sum coeff * x_free.
-    """
-    i = e.pivots.get(col)
-    if i is None:
-        return None
-    return {c: -v for c, v in e.rows[i].items() if c != col}

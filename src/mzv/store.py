@@ -30,7 +30,7 @@ __all__ = ["FORMAT_VERSION", "TableStore", "resolve_root"]
 
 FORMAT_VERSION = "1"
 
-_TERM = re.compile(r"\s*(?:([+-])\s*)?(?:(\d+(?:/\d+)?)\*)?([01]+)")
+_TERM = re.compile(r"\s*(?:([+-])\s*)?(?:(\d+)(?:/(\d+))?\*)?([01]+)")
 
 
 def resolve_root(flag: str | None = None) -> Path:
@@ -59,10 +59,10 @@ def _parse_word_terms(text: str) -> LinComb:
         m = _TERM.match(text, pos)
         if m is None or (not first and m.group(1) is None):
             raise ValueError(f"bad rule expression at offset {pos}: {text!r}")
-        sign = -1 if m.group(1) == "-" else 1
-        coeff = Fraction(m.group(2)) if m.group(2) else Fraction(1)
-        w = m.group(3)
-        out[w] = out.get(w, 0) + sign * coeff
+        sign, num, den, w = m.groups()
+        num = int(num or 1)
+        coeff = Fraction(-num if sign == "-" else num, int(den or 1))
+        out[w] = out.get(w, 0) + coeff
         pos = m.end()
         first = False
     return LinComb._raw({w: v for w, v in out.items() if v})

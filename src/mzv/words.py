@@ -22,12 +22,10 @@ from typing import Callable, Hashable, Iterable, Iterator, Mapping
 
 Word = str
 Composition = tuple[int, ...]
-Rational = Fraction
 
 __all__ = [
     "Word",
     "Composition",
-    "Rational",
     "LinComb",
     "word_poly",
     "comp_poly",

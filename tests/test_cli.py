@@ -7,6 +7,8 @@ so runs never touch the working tree.
 """
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from mpmath import mp
 
 from mzv import cli, numeric
@@ -277,3 +279,83 @@ def test_rewrite_populates_cache(capsys, isolated_cache):
 def test_prefer_lex_never_persists(capsys, isolated_cache):
     run(capsys, "--prefer", "lex", "rewrite", "2,3")
     assert not isolated_cache.exists()
+
+
+# ---------------------------------------------------------------------------
+# malformed arguments: every one is refused before any computation starts
+
+_GOOD_PART = st.integers(1, 4).map(str)
+_BAD_PART = st.sampled_from(["", "0", "-1", "-12", "x", "2.5", "1e3", " "])
+# an index with at least one empty, zero, negative or non-integer part
+_BAD_INDEX = st.builds(lambda a, bad, b: ",".join(a + [bad] + b),
+                       st.lists(_GOOD_PART, max_size=3), _BAD_PART,
+                       st.lists(_GOOD_PART, max_size=3))
+# a positional that starts with '-' would be read as an option
+_BAD_INDEX_ARG = _BAD_INDEX.filter(lambda s: not s.startswith("-"))
+_BAD_WORD = st.text("01 2ax", min_size=1, max_size=6).filter(
+    lambda w: w.strip("01"))
+_BAD_TOL = st.sampled_from(["nan", "inf", "-inf", "0", "-0", "-1", "-1e-9",
+                            "1e-400"])
+_BAD_SIDE = st.one_of(
+    st.sampled_from(["", "z(", "z()", "z(2,)", "z(,2)", "z 2", "y(2)", "2*",
+                     "1/0*z(5)", "1/*z(5)", "z(2)(3)", "z(2)**z(3)", "+"]),
+    st.builds("z({},,{})".format, st.integers(1, 9), st.integers(1, 9)),
+    st.builds("z({},{})".format, st.integers(-9, 0), st.integers(1, 9)),
+    st.builds("{}*z({}".format, st.integers(1, 9), st.integers(2, 9)),
+)
+_GOOD_SIDE = st.sampled_from(["z(5)", "z(2,3)", "9/2*z(5) - 2*z(2)*z(3)"])
+_BAD_IDENTITY = st.one_of(
+    st.builds("{} = {}".format, _BAD_SIDE, _GOOD_SIDE | _BAD_SIDE),
+    st.builds("{} = {}".format, _GOOD_SIDE, _BAD_SIDE),
+    _GOOD_SIDE,
+    st.builds("{0} = {0} = {0}".format, _GOOD_SIDE),
+)
+_MODE = st.sampled_from([[], ["--mode", "symbolic"], ["--mode", "numeric"],
+                         ["--mode", "both"]])
+
+
+def _degree_args(command, flag, low, ceiling=True):
+    """command with its weight flag below low, or above the ceiling."""
+    bad = st.integers(-10**6, low - 1).map(
+        lambda d: command + [f"{flag}={d}"])
+    if ceiling:
+        bad |= st.builds(
+            lambda c, d: [f"--ceiling={c}", *command, f"{flag}={c + d}"],
+            st.integers(2, 16), st.integers(1, 10**6))
+    return bad
+
+
+_MALFORMED = st.one_of(
+    st.builds(lambda w, u: ["shuffle", w, u], _BAD_WORD,
+              st.sampled_from(["01", ""])),
+    st.builds(lambda w: ["shuffle", "01", w], _BAD_WORD),
+    st.builds(lambda w: ["reg", w], _BAD_WORD),
+    st.builds(lambda w: ["decompose", w], _BAD_WORD),
+    st.builds(lambda c: ["stuffle", c, "2"], _BAD_INDEX_ARG),
+    st.builds(lambda c: ["stuffle", "2", c], _BAD_INDEX_ARG),
+    st.builds(lambda c: ["rewrite", c], _BAD_INDEX_ARG),
+    st.builds(lambda c: ["rewrite", f"1,{c}"], st.integers(1, 4)),
+    st.builds(lambda w: ["rewrite", str(w)], st.integers(13, 10**6)),
+    st.builds(lambda c: ["numeric", f"--comp={c}"], _BAD_INDEX),
+    st.builds(lambda t: ["numeric", "--comp", "2", f"--tol={t}"], _BAD_TOL),
+    st.builds(lambda i, m: ["verify", i, *m], _BAD_IDENTITY, _MODE),
+    st.builds(lambda t, m: ["verify", "z(2)*z(3) = z(5)", f"--tol={t}", *m],
+              _BAD_TOL, _MODE.filter(lambda m: "symbolic" not in m)),
+    _degree_args(["freeness"], "--degree", 2),
+    _degree_args(["knt"], "--degree", 3),
+    _degree_args(["dims"], "--max", 3),
+    _degree_args(["cache", "--rebuild"], "--degree", 2),
+    _degree_args(["n23"], "--max", 2, ceiling=False),
+    _degree_args(["bk"], "--max-weight", 3, ceiling=False),
+    st.just(["cache"]),
+    st.just(["--prefer", "lex", "cache", "--rebuild"]),
+)
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=_MALFORMED)
+def test_malformed_arguments_are_usage_errors(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and err.startswith("error:"), (argv, err)
+    assert out == "" and "Traceback" not in err

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mzv.linalg import SparseMatrix, _primes, rank, rref, solve_for
+from mzv.linalg import SparseMatrix, _primes, rank, rref
 
 
 # ---------------------------------------------------------------------------
@@ -123,14 +123,6 @@ def test_col_order_changes_pivots_not_rank():
     assert e1.rank == e2.rank == 2
     assert set(e1.pivots) == {0, 1}
     assert set(e2.pivots) == {2, 1}
-
-
-def test_solve_for():
-    # x + 2y = 0
-    m = from_dense([[1, 2]], 2)
-    e = rref(m, [0, 1])
-    assert solve_for(e, 0) == {1: Fraction(-2)}
-    assert solve_for(e, 1) is None
 
 
 def test_unlucky_first_prime():
