@@ -161,8 +161,12 @@ def cmd_verify(args) -> int:
         elif iv.ok:
             print(f"numeric: PASS  |lhs - rhs| = {mp.nstr(iv.diff, 4)} "
                   f"<= {mp.nstr(iv.tol, 4)}")
-        else:
+        elif iv.diff > iv.tol:
             print(f"numeric: FAIL  |lhs - rhs| = {mp.nstr(iv.diff, 4)} "
+                  f"> {mp.nstr(iv.tol, 4)}")
+        else:
+            print("numeric: FAIL  |lhs - rhs| + error bound = "
+                  f"{mp.nstr(iv.diff, 4)} + {mp.nstr(iv.err, 4)} "
                   f"> {mp.nstr(iv.tol, 4)}")
         failed |= not iv.ok
     return 1 if failed else 0

@@ -13,6 +13,27 @@ The constant term of the outermost model is the value of the sum.  Levels
 with index 1 diverge logarithmically; their models simply carry log powers,
 which the next level damps again (the leading index is at least 2).
 
+All of this runs in fixed point.  Every partial sum W(m) and every
+coefficient of an expansion {inverse_power: {log_power: c}} is a Python int
+X standing for X * 2^-B, with B the working precision mp.prec plus
+GUARD_BITS.  A product of two such numbers is (x * y) >> B, and division by
+a small integer rounds to the nearest.  The binomials of the shift, the
+multipliers -a and p of the derivative and the Euler-Maclaurin weights
+B_2r/(2r)! (from mp.bernfrac) enter as exact integers or fractions, with one
+rounding per product.  log(CAL) comes once from mp.log; the value and the
+bound turn into mpf only at the end.
+
+Fixed point is at least as accurate here as mpf at the working precision.
+Each operation adds at most one unit of 2^-B to a number.  A coefficient
+of n^-a log(n)^p reaches the value only through evaluation at some
+n >= CAL - 1 >= 119 (the shift re-expands E(n-1), which is E at n - 1),
+where n^-a <= 1, so its absolute error is never weighted by more than the
+log power that mpf's relative error on a coefficient of size 1 also meets.
+One unit of 2^-B is 2^-GUARD_BITS of mpf's unit at size 1, and larger
+coefficients lose nothing to their size.  The total stays orders of
+magnitude below the precision floor 10^(8-dps) * (1 + |value|) that the
+bound already charges.
+
 The reported abs_error_bound is computed from the pieces the model threw
 away: the magnitude of the last kept expansion order at the calibration
 point, the first omitted Euler-Maclaurin correction, and a precision floor,
@@ -24,7 +45,7 @@ references far more accurate than the targets.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import ceil, comb, log10
+from math import ceil, comb, factorial
 
 from mpmath import mp
 
@@ -41,9 +62,19 @@ class NumericValue:
     abs_error_bound: object
 
 
-# expansion: {inverse_power: {log_power: mpf coefficient}}
+# expansion: {inverse_power: {log_power: fixed-point int coefficient}}
 
-def _term_add(E: dict, a: int, p: int, c) -> None:
+GUARD_BITS = 16
+
+
+def _rdiv(x: int, d: int) -> int:
+    """x / d rounded to the nearest integer."""
+    if d < 0:
+        x, d = -x, -d
+    return (2 * x + d) // (2 * d)
+
+
+def _term_add(E: dict, a: int, p: int, c: int) -> None:
     d = E.setdefault(a, {})
     s = d.get(p, 0) + c
     if s:
@@ -54,63 +85,53 @@ def _term_add(E: dict, a: int, p: int, c) -> None:
         del E[a]
 
 
-def _scale(E: dict, f) -> dict:
-    return {a: {p: c * f for p, c in d.items()} for a, d in E.items()}
-
-
-def _add_into(E: dict, other: dict) -> None:
+def _add_scaled(E: dict, other: dict, num: int, den: int) -> None:
+    """E += other * num / den."""
     for a, d in other.items():
         for p, c in d.items():
-            _term_add(E, a, p, c)
+            _term_add(E, a, p, _rdiv(c * num, den))
 
 
-_spow_cache: dict = {}
-
-
-def _s_powers(amax: int, qmax: int) -> list[dict]:
+def _s_powers(amax: int, qmax: int, B: int) -> list[dict]:
     """Powers of log(1 - 1/n) as plain series in 1/n, truncated at n^-amax."""
-    key = (amax, qmax, mp.prec)
-    hit = _spow_cache.get(key)
-    if hit is not None:
-        return hit
-    s = {c: mp.mpf(-1) / c for c in range(1, amax + 1)}
-    powers = [{0: mp.mpf(1)}, s]
+    s = {c: _rdiv(-1 << B, c) for c in range(1, amax + 1)}
+    powers = [{0: 1 << B}, s]
     while len(powers) <= qmax:
-        prev = powers[-1]
         nxt: dict = {}
-        for c1, v1 in prev.items():
+        for c1, v1 in powers[-1].items():
             for c2, v2 in s.items():
                 c = c1 + c2
-                if c <= amax:
-                    nxt[c] = nxt.get(c, 0) + v1 * v2
-        powers.append(nxt)
-    _spow_cache[key] = powers
+                if c > amax:
+                    break
+                nxt[c] = nxt.get(c, 0) + v1 * v2
+        powers.append({c: v >> B for c, v in nxt.items()})
     return powers
 
 
-def _shift(E: dict, amax: int) -> dict:
-    """Re-expand E(n-1) around n."""
+def _shift(E: dict, amax: int, B: int) -> dict:
+    """Re-expand E(n-1) around n, truncated at n^-amax."""
     if not E:
         return {}
-    qmax = max(max(d) for d in E.values())
-    spow = _s_powers(amax, qmax)
-    out: dict = {}
+    spow = _s_powers(amax, max(max(d) for d in E.values()), B)
+    wide: dict = {}         # (a, p) -> coefficient times 2^B
     for a, d in E.items():
         # (1 - 1/n)^(-a) coefficients
-        if a:
-            binom = {b: mp.mpf(comb(a + b - 1, b))
-                     for b in range(amax - a + 1)}
-        else:
-            binom = {0: mp.mpf(1)}
+        binom = [comb(a + b - 1, b) for b in range(amax - a + 1)] \
+            if a else [1]
         for p, coeff in d.items():
             for q in range(p + 1):
-                cpq = comb(p, q)
+                cpq = coeff * comb(p, q)
                 for cdeg, sc in spow[q].items():
-                    base = coeff * cpq * sc
-                    for b, bc in binom.items():
-                        a2 = a + cdeg + b
-                        if a2 <= amax:
-                            _term_add(out, a2, p - q, base * bc)
+                    a1 = a + cdeg
+                    if a1 > amax:
+                        break
+                    base = cpq * sc
+                    for b in range(min(len(binom), amax - a1 + 1)):
+                        key = (a1 + b, p - q)
+                        wide[key] = wide.get(key, 0) + base * binom[b]
+    out: dict = {}
+    for (a, p), c in wide.items():
+        _term_add(out, a, p, c >> B)
     return out
 
 
@@ -125,13 +146,14 @@ def _antideriv(E: dict) -> dict:
             raise ArithmeticError("non-decaying term cannot be integrated")
         for p, c in d.items():
             if a == 1:
-                _term_add(out, 0, p + 1, c / (p + 1))
+                _term_add(out, 0, p + 1, _rdiv(c, p + 1))
             else:
-                cur = c
+                # n^(1-a) log^pp term: c (-1)^(p-pp) p!/pp! / (1-a)^(p-pp+1)
+                num, den = c, 1 - a
                 for pp in range(p, -1, -1):
-                    _term_add(out, a - 1, pp, cur / (1 - a))
-                    if pp:
-                        cur = cur * (-pp) / (1 - a)
+                    _term_add(out, a - 1, pp, _rdiv(num, den))
+                    num *= -pp
+                    den *= 1 - a
     return out
 
 
@@ -146,47 +168,64 @@ def _deriv(E: dict) -> dict:
     return out
 
 
-def _eval(E: dict, x, absolute: bool = False):
-    lx = mp.log(x)
-    total = mp.mpf(0)
+def _eval(E: dict, cal: int, logs: list, B: int,
+          absolute: bool = False) -> int:
+    """E at n = cal, given logs[p] = log(cal)^p in fixed point."""
+    if not E:
+        return 0
+    top = max(E)
+    total = 0
     for a, d in E.items():
-        xa = x ** (-a)
+        t = 0
         for p, c in d.items():
-            t = c * xa * lx ** p
-            total += abs(t) if absolute else t
-    return total
+            x = c * logs[p]
+            t += abs(x) if absolute else x
+        total += t * cal ** (top - a)
+    return _rdiv(total, cal ** top << B)
 
 
 def _compute(comp: Composition, dps: int, cal: int, em_order: int,
              amax: int):
     with mp.workdps(dps):
-        w_next = [mp.mpf(1)] * (cal + 1)
-        e_next: dict = {0: {0: mp.mpf(1)}}
-        slack = mp.mpf(0)
+        B = mp.prec + GUARD_BITS
+        with mp.workprec(B + GUARD_BITS):
+            log_cal = int(mp.nint(mp.ldexp(mp.log(cal), B)))
+        logs = [1 << B]
+        for _ in comp:
+            logs.append(logs[-1] * log_cal >> B)
+        # B_2r / (2r)! for r = 1 .. em_order + 1, as (numerator, denominator)
+        em = []
+        for r in range(1, em_order + 2):
+            num, den = mp.bernfrac(2 * r)
+            em.append((int(num), int(den) * factorial(2 * r)))
+        w_next = [1 << B] * (cal + 1)
+        e_next: dict = {0: {0: 1 << B}}
+        slack = 0
         for s in reversed(comp):
-            w = [mp.mpf(0)] * (cal + 1)
+            w = [0] * (cal + 1)
             for m in range(1, cal + 1):
-                w[m] = w[m - 1] + mp.mpf(m) ** (-s) * w_next[m - 1]
-            g = _mul_npow(_shift(e_next, amax), s, amax)
+                w[m] = w[m - 1] + _rdiv(w_next[m - 1], m ** s)
+            # times n^-s, only orders up to amax - s of the shift survive
+            g = _mul_npow(_shift(e_next, amax - s, B), s, amax)
             phi = _antideriv(g)
-            _add_into(phi, _scale(g, mp.mpf(1) / 2))
+            _add_scaled(phi, g, 1, 2)
             d = _deriv(g)
-            for r in range(1, em_order + 1):
-                _add_into(phi, _scale(d, mp.bernoulli(2 * r) /
-                                      mp.factorial(2 * r)))
+            for num, den in em[:em_order]:
+                _add_scaled(phi, d, num, den)
                 d = _deriv(_deriv(d))
             # first omitted correction, taken at the calibration point
-            slack += abs(mp.bernoulli(2 * em_order + 2) /
-                         mp.factorial(2 * em_order + 2)) * \
-                _eval(d, mp.mpf(cal), absolute=True)
-            const = w[cal] - _eval(phi, mp.mpf(cal))
+            num, den = em[em_order]
+            slack += _rdiv(abs(num) * _eval(d, cal, logs, B, absolute=True),
+                           den)
+            const = w[cal] - _eval(phi, cal, logs, B)
             _term_add(phi, 0, 0, const)
             # magnitude of the last kept expansion order
             tail_band = {amax: phi[amax]} if amax in phi else {}
-            slack += _eval(tail_band, mp.mpf(cal), absolute=True)
+            slack += _eval(tail_band, cal, logs, B, absolute=True)
             w_next, e_next = w, phi
-        value = e_next.get(0, {}).get(0, mp.mpf(0))
-        bound = 8 * slack + mp.mpf(10) ** (8 - dps) * (1 + abs(value))
+        value = mp.ldexp(e_next.get(0, {}).get(0, 0), -B)
+        bound = 8 * mp.ldexp(slack, -B) + \
+            mp.mpf(10) ** (8 - dps) * (1 + abs(value))
         return value, bound
 
 
@@ -210,6 +249,15 @@ def check_tolerance(tol):
     return tol
 
 
+def _digits(target) -> int:
+    """ceil(-log10(target)), at least 1.  Rounded to the 53 bits of a float
+    first, so a float target gets the digits float arithmetic gives it, but
+    in mpf, whose exponent does not underflow below 1e-308."""
+    with mp.workprec(53):
+        target = +target
+        return int(mp.ceil(-mp.log10(target))) if target < 1 else 1
+
+
 def mzv_numeric(comp, target_abs_err=1e-10) -> NumericValue:
     """Value of the nested sum with abs_error_bound <= target_abs_err."""
     comp = validate_comp(comp)
@@ -219,7 +267,7 @@ def mzv_numeric(comp, target_abs_err=1e-10) -> NumericValue:
     hit = _value_cache.get(comp)
     if hit is not None and hit.abs_error_bound <= target:
         return hit
-    digits = int(ceil(-log10(float(target)))) if float(target) < 1 else 1
+    digits = _digits(target)
     for attempt in range(4):
         value, bound = _compute(comp, *_params(digits + 6 * attempt))
         if bound <= target:
@@ -236,16 +284,19 @@ class IdentityValues:
     lhs: object
     rhs: object
     diff: object
+    err: object            # bound on the error of diff from the factor bounds
     tol: object
 
     @property
     def ok(self) -> bool:
-        return self.diff <= self.tol
+        """The true difference, at most diff + err, is within tol."""
+        return self.diff + self.err <= self.tol
 
 
 def identity_values(ident, tol=1e-6) -> IdentityValues:
-    """Evaluate both sides, spending half the tolerance per side.  The
-    products and sums run with enough digits to resolve tol."""
+    """Evaluate both sides, spending at most half the tolerance on the
+    error of the factors.  The products and sums run with enough digits to
+    resolve tol."""
     tol = check_tolerance(tol)
     budget = 0
     for side in (ident.lhs, ident.rhs):
@@ -258,16 +309,22 @@ def identity_values(ident, tol=1e-6) -> IdentityValues:
     tau = (tol / 2) / max(float(budget), 1.0)
     sides = []
     with mp.workdps(max(15, int(mp.ceil(-mp.log10(tol))) + 10)):
+        err = mp.mpf(0)
         for side in (ident.lhs, ident.rhs):
             total = mp.mpf(0)
             for mono, c in side.items():
-                prod = mp.mpf(1)
+                prod = high = mp.mpf(1)
                 for f in mono:
-                    prod *= mzv_numeric(f, tau).value
-                total += mp.mpf(c.numerator) / c.denominator * prod
+                    nv = mzv_numeric(f, tau)
+                    prod *= nv.value
+                    high *= abs(nv.value) + nv.abs_error_bound
+                coef = mp.mpf(c.numerator) / c.denominator
+                total += coef * prod
+                # |product of perturbed factors - product| <= high - |prod|
+                err += abs(coef) * (high - abs(prod))
             sides.append(total)
         return IdentityValues(sides[0], sides[1], abs(sides[0] - sides[1]),
-                              tol)
+                              err, tol)
 
 
 def numeric_check(ident, tol=1e-6) -> bool:

@@ -145,6 +145,28 @@ def test_verify_numeric_resolves_tiny_differences(capsys):
     assert "numeric: FAIL  |lhs - rhs| = 1.202e-20 > 1.0e-30" in out
 
 
+def test_verify_numeric_failure_within_tol_counts_the_error(capsys,
+                                                            monkeypatch):
+    # the sides differ by 1e-6*z(3); each factor comes back off by its full
+    # bound, so the computed difference alone lies within tol
+    sign = {(3,): 1, (2, 1): -1}
+
+    def off_by_bound(comp, target):
+        with mp.workdps(60):
+            value = mp.zeta(3) + sign[tuple(comp)] * mp.mpf(target)
+        return numeric.NumericValue(tuple(comp), value, mp.mpf(target))
+
+    monkeypatch.setattr(numeric, "mzv_numeric", off_by_bound)
+    argv = ["verify", "z(3) = 1000001/1000000*z(2,1)", "--mode", "numeric",
+            "--tol", "1e-6"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 1
+    assert out == "numeric: FAIL  |lhs - rhs| + error bound = " \
+        "7.021e-7 + 5.0e-7 > 1.0e-6\n"
+    code, out, _ = run(capsys, "--records", *argv)
+    assert code == 1 and out == "numeric 0 7.021e-7\n"
+
+
 @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
 @pytest.mark.parametrize("argv", [
     ["numeric", "--comp", "2"],
@@ -197,6 +219,83 @@ def test_numeric_records(capsys):
     assert code == 0
     assert out.split()[:2] == ["numeric", "2,1"]
     assert out.split()[2].startswith("1.2020569")
+
+
+# stdout of `numeric --comp c --tol t`, text then --records, as recorded
+# before the series moved to fixed-point arithmetic
+NUMERIC_STDOUT = [
+    ("2,1,2", "1e-12",
+     "z(2,1,2) = 0.7115661975505724320969738061 ± 1.92e-30\n",
+     "numeric 2,1,2 0.7115661975505724320969738061 1.92e-30\n"),
+    ("2", "1e-6",
+     "z(2) = 1.644934066848226436472415 ± 1.89e-27\n",
+     "numeric 2 1.644934066848226436472415 1.89e-27\n"),
+    ("2,3", "1e-8",
+     "z(2,3) = 0.7115661975505724320969738 ± 2.38e-27\n",
+     "numeric 2,3 0.7115661975505724320969738 2.38e-27\n"),
+    ("3,1", "1e-18",
+     "z(3,1) = 0.270580808427784547879000924135 ± 1.27e-32\n",
+     "numeric 3,1 0.270580808427784547879000924135 1.27e-32\n"),
+    ("2,1", "1e-30",
+     "z(2,1) = 1.2020569031595942853997381615114499908 ± 2.2e-40\n",
+     "numeric 2,1 1.2020569031595942853997381615114499908 2.2e-40\n"),
+    ("2,1,1", "1e-30",
+     "z(2,1,1) = 1.0823232337111381915160036965411679028 ± 2.08e-40\n",
+     "numeric 2,1,1 1.0823232337111381915160036965411679028 2.08e-40\n"),
+    ("6,2", "1e-15",
+     "z(6,2) = 0.0178197404168359883626595302487 ± 1.02e-32\n",
+     "numeric 6,2 0.0178197404168359883626595302487 1.02e-32\n"),
+    ("10", "1e-30",
+     "z(10) = 1.000994575127818085337145958900319017 ± 2.0e-40\n",
+     "numeric 10 1.000994575127818085337145958900319017 2.0e-40\n"),
+    ("5,2,2,1", "1e-20",
+     "z(5,2,2,1) = 0.0000690159842266899601204718010959 ± 1.0e-32\n",
+     "numeric 5,2,2,1 0.0000690159842266899601204718010959 1.0e-32\n"),
+    ("4,1,1,1", "1e-24",
+     "z(4,1,1,1) = 0.0041231651524325355320233157631038 ± 1.0e-34\n",
+     "numeric 4,1,1,1 0.0041231651524325355320233157631038 1.0e-34\n"),
+    ("3,2,2,3", "1e-27",
+     "z(3,2,2,3) = 0.0024420345760065525874212843896003503 ± 1.0e-37\n",
+     "numeric 3,2,2,3 0.0024420345760065525874212843896003503 1.0e-37\n"),
+    ("2,1,1,1,1,1", "1e-15",
+     "z(2,1,1,1,1,1) = 1.00834927738192282683979754985 ± 2.19e-32\n",
+     "numeric 2,1,1,1,1,1 1.00834927738192282683979754985 2.19e-32\n"),
+]
+
+
+@pytest.mark.parametrize("comp,tol,text,records", NUMERIC_STDOUT)
+def test_numeric_stdout_is_pinned(capsys, monkeypatch, comp, tol, text,
+                                  records):
+    monkeypatch.setattr(numeric, "_value_cache", {})
+    assert run(capsys, "numeric", "--comp", comp, "--tol", tol) == \
+        (0, text, "")
+    monkeypatch.setattr(numeric, "_value_cache", {})
+    assert run(capsys, "--records", "numeric", "--comp", comp,
+               "--tol", tol) == (0, records, "")
+
+
+def test_numeric_stdout_of_a_second_attempt_is_pinned(capsys, monkeypatch):
+    # the first attempt reports a bound above the target, so the value and
+    # bound printed come from the second attempt's parameters
+    calls = []
+    compute = numeric._compute
+
+    def first_attempt_misses(*args):
+        calls.append(args[1:])
+        value, bound = compute(*args)
+        return (value, mp.mpf(1)) if len(calls) == 1 else (value, bound)
+
+    monkeypatch.setattr(numeric, "_compute", first_attempt_misses)
+    for argv, out in [
+            ([], "z(2,3) = 0.7115661975505724320969738060864026 "
+                 "± 1.71e-36\n"),
+            (["--records"], "numeric 2,3 0.7115661975505724320969738060864026 "
+                            "1.71e-36\n")]:
+        monkeypatch.setattr(numeric, "_value_cache", {})
+        calls.clear()
+        assert run(capsys, *argv, "numeric", "--comp", "2,3",
+                   "--tol", "1e-20") == (0, out, "")
+        assert calls == [numeric._params(20), numeric._params(26)]
 
 
 @pytest.mark.parametrize("argv", [

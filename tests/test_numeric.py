@@ -5,15 +5,22 @@ well beyond every bound requested here, so a reported bound that fails to
 cover the observed error is a genuine defect and not reference noise.
 """
 
+import json
 from fractions import Fraction
+from math import ceil, log10
+from pathlib import Path
 
 import pytest
 from mpmath import mp, mpf, pi, zeta, workdps
 
+from mzv import numeric
 from mzv.conjectures import euler_even_zeta
 from mzv.engine import Identity, parse_generator_poly
-from mzv.numeric import identity_values, mzv_numeric, numeric_check
+from mzv.numeric import (NumericValue, identity_values, mzv_numeric,
+                         numeric_check)
 from mzv.words import LinComb, stuffle
+
+EXPECTED = Path(__file__).resolve().parents[1] / "bench" / "expected.json"
 
 
 def ref(expr_dps60):
@@ -96,6 +103,25 @@ def test_identity_values_on_rewrite_identity():
     assert numeric_check(ident, 1e-6)
 
 
+def test_verdict_counts_the_error_spent(monkeypatch):
+    # z(3) = z(2,1), so the two sides differ by exactly 1e-6*z(3), 1.2 tol.
+    # Each factor comes back off by its full bound, in the direction that
+    # shrinks the difference to about 0.7 tol: only diff + error tells.
+    ident = Identity(parse_generator_poly("z(3)"),
+                     parse_generator_poly("1000001/1000000*z(2,1)"))
+    sign = {(3,): 1, (2, 1): -1}
+
+    def off_by_bound(comp, target):
+        with workdps(60):
+            value = zeta(3) + sign[tuple(comp)] * mpf(target)
+        return NumericValue(tuple(comp), value, mpf(target))
+
+    monkeypatch.setattr(numeric, "mzv_numeric", off_by_bound)
+    assert not numeric_check(ident, 1e-6)
+    iv = identity_values(ident, 1e-6)
+    assert iv.diff <= iv.tol < iv.diff + iv.err
+
+
 def test_identity_values_detects_false_identity():
     ident = Identity(parse_generator_poly("z(2,3)"),
                      parse_generator_poly("9/2*z(5)"))
@@ -112,6 +138,35 @@ def test_value_cache_serves_tighter_bound():
     loose = mzv_numeric((2,), 1e-6)
     assert loose.abs_error_bound <= tight.abs_error_bound
     assert loose.value == tight.value
+
+
+def test_sub_float_tolerance():
+    # 1e-400 underflows a float; the target is taken as an mpf throughout
+    tiny = mpf("1e-400")
+    nv = mzv_numeric((2,), tiny)
+    assert nv.abs_error_bound <= tiny
+    with workdps(420):
+        assert abs(nv.value - pi ** 2 / 6) <= nv.abs_error_bound
+
+
+@pytest.mark.parametrize("tol", [float(f"1e-{e}") for e in
+                                 (6, 9, 12, 15, 18, 21, 24, 27, 30)]
+                         + [0.5, 2.0, 1e-320])
+def test_digits_agree_with_float_arithmetic(tol):
+    expected = int(ceil(-log10(tol))) if tol < 1 else 1
+    assert numeric._digits(mpf(tol)) == expected
+
+
+def test_bounds_are_honest_against_the_recorded_references(monkeypatch):
+    # 50-digit references for weight <= 10, depth <= 4
+    monkeypatch.setattr(numeric, "_value_cache", {})
+    refs = json.loads(EXPECTED.read_text())["refs"]
+    assert len(refs) == 255
+    for key, text in refs.items():
+        nv = mzv_numeric(tuple(int(s) for s in key.split(",")), 1e-30)
+        assert nv.abs_error_bound <= mpf(1e-30), key
+        with workdps(60):
+            assert abs(nv.value - mpf(text)) <= nv.abs_error_bound, key
 
 
 def test_rejects_bad_input():
