@@ -10,6 +10,7 @@ line-oriented machine-readable records.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from mpmath import mp
@@ -288,7 +289,9 @@ def cmd_cache(args) -> int:
     raise ValueError("cache needs --rebuild or --path")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # built once per process: parse_args leaves the parser as it was
     ap = argparse.ArgumentParser(
         prog="mzv",
         description="Exact relations, counting conjectures, and numeric "

@@ -5,6 +5,26 @@ headed by the format and engine versions.  Files written by a different
 engine version fail the header check and are treated as missing, so a version
 bump silently forces recomputation.  Serialization is fully
 deterministic: wiping the cache and rebuilding reproduces identical bytes.
+
+A rule line reads `rule <word> = <expression>`, the expression `0` or a
+signed sum of words, each with an optional coefficient `n*` or `n/d*`.  The
+sign may be left out before the first term only.  Each expression is
+checked once against the whole grammar, its terms come out of one scan, and
+each coefficient becomes a Fraction of two ints, memoized by its text for
+the lines of one file.  Terms are summed only when a word repeats or a
+coefficient is zero.
+
+A load returns None, a miss that the engine rebuilds, for a file that:
+- has a bad checksum, or another format or engine version;
+- does not parse: a bad header, line, expression or generator polynomial,
+  or a zero denominator;
+- speaks of another weight: a word or a generator monomial whose weight is
+  not the file's, or a file name of another degree;
+- has generator lines for other words than the basis, or new generators
+  outside it;
+- does not cover its weight: a rule term that is not a basis word, a word
+  that is both a rule head and a basis word, or rule heads and basis words
+  that are not all 2**(degree-2) words of the weight.
 """
 
 from __future__ import annotations
@@ -30,7 +50,11 @@ __all__ = ["FORMAT_VERSION", "TableStore", "resolve_root"]
 
 FORMAT_VERSION = "1"
 
-_TERM = re.compile(r"\s*(?:([+-])\s*)?(?:(\d+)(?:/(\d+))?\*)?([01]+)")
+# _EXPR is the whole grammar of a rule expression other than 0; _TERM pulls
+# the (coefficient text, word) pairs out of a text that _EXPR accepts
+_COEFF = r"(?:\d+(?:/\d+)?\*)?"
+_EXPR = re.compile(rf"(?:[+-]\s*)?{_COEFF}[01]+(?:\s*[+-]\s*{_COEFF}[01]+)*")
+_TERM = re.compile(rf"((?:[+-]\s*)?{_COEFF})([01]+)")
 
 
 def resolve_root(flag: str | None = None) -> Path:
@@ -48,24 +72,49 @@ def _format_word_terms(p: LinComb) -> str:
     return _format_terms([(w, p[w]) for w in words])
 
 
-def _parse_word_terms(text: str) -> LinComb:
+def _coefficient(text: str) -> Fraction:
+    """The value of a coefficient text such as "- 3/2*", "+ " or ""."""
+    num, _, den = text.lstrip("+-").strip().rstrip("*").partition("/")
+    n = int(num or 1)
+    return Fraction(-n if text[:1] == "-" else n, int(den or 1))
+
+
+def _parse_word_terms(text: str, coeffs: dict | None = None) -> LinComb:
+    """Parse a rule expression.  coeffs memoizes nonzero coefficient values
+    by their text.  A syntax error raises ValueError and a zero denominator
+    ZeroDivisionError, whichever comes first from the left."""
     text = text.strip()
-    if text == "0":
+    if not text or text == "0":
         return LinComb.zero()
-    out: dict = {}
-    pos = 0
-    first = True
-    while pos < len(text):
-        m = _TERM.match(text, pos)
-        if m is None or (not first and m.group(1) is None):
-            raise ValueError(f"bad rule expression at offset {pos}: {text!r}")
-        sign, num, den, w = m.groups()
-        num = int(num or 1)
-        coeff = Fraction(-num if sign == "-" else num, int(den or 1))
-        out[w] = out.get(w, 0) + coeff
-        pos = m.end()
-        first = False
-    return LinComb._raw({w: v for w, v in out.items() if v})
+    if _EXPR.fullmatch(text) is None:
+        valid = _EXPR.match(text)
+        end = valid.end() if valid else 0
+        # the terms before the error are evaluated, as a parse from the left
+        # would, so a zero denominator among them raises ZeroDivisionError
+        for coeff, _ in _TERM.findall(text, 0, end):
+            _coefficient(coeff)
+        raise ValueError(f"bad rule expression at offset {end}: {text!r}")
+    if coeffs is None:
+        coeffs = {}
+    terms = _TERM.findall(text)
+    out = {}
+    has_zero = False
+    for coeff, w in terms:
+        c = coeffs.get(coeff)
+        if c is None:
+            c = _coefficient(coeff)
+            if c:
+                coeffs[coeff] = c
+            else:
+                has_zero = True
+        out[w] = c
+    # a repeated word or a zero coefficient: sum the terms after all
+    if has_zero or len(out) < len(terms):
+        out = {}
+        for coeff, w in terms:
+            out[w] = out.get(w, 0) + _coefficient(coeff)
+        out = {w: c for w, c in out.items() if c}
+    return LinComb._raw(out)
 
 
 def _serialize(table: RewriteTable) -> str:
@@ -106,10 +155,11 @@ def _deserialize(text: str) -> RewriteTable | None:
         new = tuple(lines[5].split()[1:])
         rules: dict[str, LinComb] = {}
         gen_map: dict[str, LinComb] = {}
+        coeffs: dict[str, Fraction] = {}
         for line in lines[6:-1]:
             if line.startswith("rule "):
                 head, expr = line[5:].split(" = ", 1)
-                rules[head] = _parse_word_terms(expr)
+                rules[head] = _parse_word_terms(expr, coeffs)
             elif line.startswith("gen "):
                 head, expr = line[4:].split(" := ", 1)
                 gen_map[head] = parse_generator_poly(expr)
@@ -117,13 +167,20 @@ def _deserialize(text: str) -> RewriteTable | None:
                 return None
     except (ValueError, IndexError, ZeroDivisionError):
         return None
-    if set(gen_map) != set(basis) or not set(new) <= set(basis):
+    basis_set = set(basis)
+    if set(gen_map) != basis_set or not basis_set.issuperset(new):
         return None
-    # every word and every generator monomial has the file's weight (each
-    # distinct word is checked once)
-    words = set(basis).union(rules, *rules.values())
-    if not all(len(w) == degree and in_h2(w) and not w.strip("01")
-               for w in words):
+    # the rules and the basis cover the weight's words: every rule term is
+    # a basis word, and the rule heads and the basis words are distinct H2
+    # words of the file's weight, 2**(degree-2) of them in all (the length
+    # test comes first, so degree is at most a line's length)
+    heads = basis_set.union(rules)
+    if not set().union(*rules.values()) <= basis_set:
+        return None
+    if not heads or not all(len(w) == degree and in_h2(w)
+                            and not w.strip("01") for w in heads):
+        return None
+    if not len(heads) == len(basis) + len(rules) == 2 ** (degree - 2):
         return None
     if any(monomial_weight(m) != degree
            for gp in gen_map.values() for m in gp):

@@ -6,6 +6,11 @@ or parse errors.  An autouse fixture points the cache at a temp directory
 so runs never touch the working tree.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -327,6 +332,32 @@ def test_ceiling_can_be_moved(capsys):
     assert code == 0 and "z(2)*z(2)*z(2)" in out
     code, _, _ = run(capsys, "--ceiling", "5", "rewrite", "2,4")
     assert code == 2
+
+
+def test_repeated_calls_print_what_each_call_prints_alone(capsys):
+    # main reuses one parser per process; no top-level flag of one call may
+    # carry over to the next
+    calls = [
+        ["--records", "freeness", "--degree", "5"],
+        ["freeness", "--degree", "5"],
+        ["--prefer", "lex", "freeness", "--degree", "5"],
+        ["freeness", "--degree", "5"],
+        ["--ceiling", "13", "rewrite", "2,3"],
+        ["rewrite", "11,2"],
+    ]
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    alone = []
+    for argv in calls:
+        proc = subprocess.run([sys.executable, "-m", "mzv.cli", *argv],
+                              capture_output=True, text=True, env=env)
+        alone.append((proc.returncode, proc.stdout, proc.stderr))
+    assert [run(capsys, *argv) for argv in calls] == alone
+    assert alone[0][1] == "freeness 5 1 1 5\n"
+    assert alone[2][1] == "degree 5: PASS, 1 new generator(s): (2,1,1,1)\n"
+    assert alone[3][1] == "degree 5: PASS, 1 new generator(s): (5)\n"
+    assert alone[5][0] == 2 and "exceeds the ceiling 12" in alone[5][2]
 
 
 def test_ceiling_hard_maximum():

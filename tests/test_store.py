@@ -8,20 +8,29 @@ rather than exceptions.
 
 import hashlib
 import json
+import re
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mzv import cli
-from mzv.engine import RewriteTable, echelonize_degree
+from mzv.engine import (
+    RewriteTable,
+    echelonize_degree,
+    express_in_generators,
+    format_generator_poly,
+)
 from mzv.store import (
     TableStore,
+    _format_word_terms,
     _parse_word_terms,
     _serialize,
     resolve_root,
 )
-from mzv.words import LinComb
+from mzv.words import LinComb, all_words, in_h2, word_to_comp
 
 EXPECTED = Path(__file__).resolve().parents[1] / "bench" / "expected.json"
 
@@ -40,6 +49,13 @@ def build(root, up_to=6):
     for n in range(2, up_to + 1):
         echelonize_degree(n, st)
     return st
+
+
+@pytest.fixture(scope="module")
+def tables_to_10(tmp_path_factory):
+    root = tmp_path_factory.mktemp("tables")
+    build(root, 10)
+    return root
 
 
 def test_round_trip_all_fields(tmp_path):
@@ -105,15 +121,29 @@ def test_stale_engine_version_is_a_miss(tmp_path):
     (6, "rule 011 = 0001"),
     (6, "rule 0011 = 001"),
     (5, "new 001 011"),
+    # well-formed and of the right weight, but the rules and the basis do
+    # not cover the weight's words: a rule term that is no basis word, and
+    # a word with neither a rule nor a basis entry
+    (6, "rule 011 = 011"),
+    (6, "gen 001 := z(3)"),
 ])
 def test_malformed_body_is_discarded_and_rebuilt(tmp_path, capsys,
                                                  index, line):
     build(tmp_path, 3)
-    rewrite_line(tmp_path / "degree-03.table", index, line)
+    path = tmp_path / "degree-03.table"
+    good = path.read_text()
+    rewrite_line(path, index, line)
     assert TableStore(tmp_path).get(3) is None
     code = cli.main(["--cache-dir", str(tmp_path), "rewrite", "2,1"])
     assert code == 0 and capsys.readouterr().out == "z(3)\n"
     assert TableStore(tmp_path).get(3) is not None
+    assert path.read_text() == good
+    rewrite_line(path, index, line)
+    code = cli.main(["--cache-dir", str(tmp_path), "freeness",
+                     "--degree", "3"])
+    assert code == 0 and capsys.readouterr().out == \
+        "degree 3: PASS, 1 new generator(s): (3)\n"
+    assert path.read_text() == good
 
 
 def test_rebuild_reproduces_identical_bytes(tmp_path):
@@ -140,15 +170,32 @@ def test_failed_write_keeps_table_in_memory(tmp_path, monkeypatch):
     assert not list(tmp_path.iterdir())
 
 
-def test_tables_match_the_recorded_digests(tmp_path):
+def test_tables_match_the_recorded_digests(tables_to_10):
     # the RREF for a column order is unique, so any correct elimination
     # kernel must reproduce the recorded table files byte for byte
     expected = json.loads(EXPECTED.read_text())["tables"]
-    build(tmp_path, 10)
     for n in range(2, 11):
         name = f"degree-{n:02d}.table"
-        data = (tmp_path / name).read_bytes()
+        data = (tables_to_10 / name).read_bytes()
         assert hashlib.sha256(data).hexdigest() == expected[name], name
+
+
+def test_every_rewrite_to_10_matches_its_recorded_digest(tables_to_10):
+    # every admissible index of weights 5..10, read from tables parsed back
+    # by one fresh store, prints what `rewrite` printed when it was recorded
+    expected = json.loads(EXPECTED.read_text())["rewrite"]
+    fresh = TableStore(tables_to_10)
+    checked = 0
+    for n in range(5, 11):
+        assert fresh.get(n) is not None, n
+        for w in filter(in_h2, all_words(n)):
+            comp = word_to_comp(w)
+            out = format_generator_poly(express_in_generators(comp, fresh))
+            key = ",".join(map(str, comp))
+            got = hashlib.sha256((out + "\n").encode()).hexdigest()[:16]
+            assert got == expected[key], key
+            checked += 1
+    assert checked == sum(2 ** (n - 2) for n in range(5, 11))
 
 
 # sha256 of the serialized --prefer lex tables for weights 2..10; these are
@@ -196,6 +243,85 @@ def test_parse_word_terms():
         _parse_word_terms("01 ++ 11")
     with pytest.raises(ValueError):
         _parse_word_terms("01 01")
+
+
+# the term loop the rule parser replaced, kept as the oracle of the language
+# it accepts
+_LOOP_TERM = re.compile(r"\s*(?:([+-])\s*)?(?:(\d+)(?:/(\d+))?\*)?([01]+)")
+
+
+def parse_by_term_loop(text):
+    text = text.strip()
+    if text == "0":
+        return LinComb.zero()
+    out = {}
+    pos = 0
+    first = True
+    while pos < len(text):
+        m = _LOOP_TERM.match(text, pos)
+        if m is None or (not first and m.group(1) is None):
+            raise ValueError(f"bad rule expression at offset {pos}: {text!r}")
+        sign, num, den, w = m.groups()
+        num = int(num or 1)
+        coeff = Fraction(-num if sign == "-" else num, int(den or 1))
+        out[w] = out.get(w, 0) + coeff
+        pos = m.end()
+        first = False
+    return LinComb._raw({w: v for w, v in out.items() if v})
+
+
+def parse_outcome(parse, text):
+    try:
+        return "ok", parse(text)._terms
+    except (ValueError, ZeroDivisionError) as exc:
+        return "error", type(exc)
+
+
+_lincombs = st.dictionaries(
+    st.text("01", min_size=1, max_size=6),
+    st.sampled_from([1, -1]) | st.fractions(
+        min_value=-40, max_value=40, max_denominator=12).filter(bool),
+    max_size=5,
+).map(LinComb)
+
+# what a mutation inserts: spaces, an explicit 1*, signs (a leading or a
+# doubled one), a repeated word, zero coefficients, a zero denominator, and
+# stray characters, some of them Unicode digits and spaces
+_inserts = st.sampled_from([
+    " ", "  ", "\t", "\u00a0", "1*", "+", "-", "+ ", "- 01", " + 01",
+    "01", "0*", "00*", "0/3*", "1/0*", "2/4*", "/", "*", "**", "x", "2",
+    "\u0663", "\u0663*", ".", "=",
+])
+
+
+@st.composite
+def rule_expressions(draw):
+    text = _format_word_terms(draw(_lincombs))
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(["insert", "delete", "term"]))
+        if kind == "term":
+            # in front of a term's coefficient or word
+            starts = [i for i, ch in enumerate(text)
+                      if ch.isdigit() and (i == 0 or text[i - 1] == " ")]
+            pos = draw(st.sampled_from(starts)) if starts else 0
+        else:
+            pos = draw(st.integers(0, len(text)))
+        if kind == "delete" and pos < len(text):
+            text = text[:pos] + text[pos + 1:]
+        else:
+            text = text[:pos] + draw(_inserts) + text[pos:]
+    return text
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.lists(rule_expressions(), min_size=1, max_size=4))
+def test_rule_parser_accepts_the_term_loop_language(texts):
+    # one memo across several expressions, as for the lines of one table
+    coeffs = {}
+    for text in texts:
+        want = parse_outcome(parse_by_term_loop, text)
+        got = parse_outcome(lambda t: _parse_word_terms(t, coeffs), text)
+        assert got == want, text
 
 
 def test_resolve_root_precedence(monkeypatch, tmp_path):
