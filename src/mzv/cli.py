@@ -206,7 +206,8 @@ def cmd_bk(args) -> int:
     if args.max_weight < 3:
         raise ValueError("--max-weight must be at least 3")
     table = conjectures.bk_counts(args.max_weight)
-    ok = not table.violations and conjectures.bk_reconstruct(table)
+    rebuilt = conjectures.bk_reconstruct(table)
+    ok = not table.violations and rebuilt
     if args.records:
         for (n, k), d in sorted(table.values.items()):
             print(f"bk {n} {k} {d}")
@@ -225,7 +226,7 @@ def cmd_bk(args) -> int:
                 print(f"{n:>6} {k:>6} {d:>6}")
         for n, k, v in table.violations:
             print(f"violation at weight {n} depth {k}: {v}")
-        if not conjectures.bk_reconstruct(table):
+        if not rebuilt:
             print("re-exponentiation does not reproduce the series")
     return 0 if ok else 1
 
@@ -280,6 +281,12 @@ def cmd_cache(args) -> int:
         for n in range(2, args.degree + 1):
             engine.echelonize_degree(n, st)
         files = sorted(p.name for p in root.glob("degree-*.table"))
+        # a failed write keeps a table in memory only, so look for the files
+        missing = sorted({f"degree-{n:02d}.table"
+                          for n in range(2, args.degree + 1)} - set(files))
+        if missing:
+            raise ValueError(f"missing table file(s) under {root}: "
+                             + ", ".join(missing))
         if args.records:
             for name in files:
                 print(f"table {name}")

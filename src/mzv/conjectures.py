@@ -4,7 +4,9 @@ Everything here is exact integer or rational arithmetic.  The dimension
 recurrence and the necklace-style generator counts come with their own
 cross-checks (ranks read from the rewrite tables, explicit Lyndon
 enumeration over the {2,3} alphabet, and a generating-function bridge tying
-the two tables together).
+the two tables together).  The bigraded counts come from a bivariate series
+truncated at the weight cap, held as a LinComb keyed by (x-degree,
+y-degree).
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from math import comb, factorial, gcd
 
 from .engine import echelonize_degree
 from .lyndon import lyndon_words
+from .words import LinComb
 
 __all__ = [
     "zagier_dims",
@@ -149,68 +152,34 @@ def two_three_lyndon(max_weight: int) -> dict[int, list[tuple[int, ...]]]:
 # ---------------------------------------------------------------------------
 # bigraded counts from the conjectural generating series
 
-class _Series2:
-    """Bivariate polynomial truncated at x^nx, y^ny; exact coefficients."""
-
-    __slots__ = ("nx", "ny", "c")
-
-    def __init__(self, nx: int, ny: int, c=None):
-        self.nx = nx
-        self.ny = ny
-        self.c = dict(c or {})
-
-    def __add__(self, other):
-        out = dict(self.c)
-        for k, v in other.c.items():
-            s = out.get(k, 0) + v
-            if s:
-                out[k] = s
-            elif k in out:
-                del out[k]
-        return _Series2(self.nx, self.ny, out)
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def scale(self, f):
-        return _Series2(self.nx, self.ny,
-                        {k: f * v for k, v in self.c.items()})
-
-    def __mul__(self, other):
-        out: dict = {}
-        for (i1, j1), v1 in self.c.items():
-            for (i2, j2), v2 in other.c.items():
-                i, j = i1 + i2, j1 + j2
-                if i > self.nx or j > self.ny:
-                    continue
-                k = (i, j)
-                s = out.get(k, 0) + v1 * v2
-                if s:
-                    out[k] = s
-                elif k in out:
-                    del out[k]
-        return _Series2(self.nx, self.ny, out)
-
-    def min_xdeg(self) -> int:
-        return min((i for i, _ in self.c), default=self.nx + 1)
+_ONE = LinComb.term((0, 0))
 
 
-def _geometric_x(step: int, nx: int, ny: int) -> _Series2:
+def _series_mul(a: LinComb, b: LinComb, cap: int) -> LinComb:
+    # product of series keyed by (x-degree, y-degree), truncated above
+    # x^cap and y^cap
+    def mul(k1, k2):
+        i, j = k1[0] + k2[0], k1[1] + k2[1]
+        return {(i, j): 1} if i <= cap and j <= cap else {}
+    return a.product(b, mul)
+
+
+def _geometric_x(step: int, cap: int) -> LinComb:
     # 1 / (1 - x^step)
-    return _Series2(nx, ny, {(i, 0): 1 for i in range(0, nx + 1, step)})
+    return LinComb({(i, 0): 1 for i in range(0, cap + 1, step)})
 
 
-def _neg_log1p(u: _Series2) -> _Series2:
+def _neg_log1p(u: LinComb, cap: int) -> LinComb:
     # -log(1 + u) for u with positive minimal x-degree
-    md = u.min_xdeg()
+    md = min((i for i, _ in u), default=cap + 1)
     if md < 1:
         raise ValueError("series has a constant term")
-    acc = _Series2(u.nx, u.ny)
-    power = _Series2(u.nx, u.ny, {(0, 0): 1})
+    acc = LinComb.zero()
+    power = _ONE
     sign = -1
-    for j in range(1, u.nx // md + 1):
-        power = power * u
-        acc = acc + power.scale(Fraction(sign, j))
+    for j in range(1, cap // md + 1):
+        power = _series_mul(power, u, cap)
+        acc = acc + Fraction(sign, j) * power
         sign = -sign
     return acc
 
@@ -225,16 +194,15 @@ class BkTable:
         return self.values.get((n, k), 0)
 
 
-def _bk_series(max_weight: int) -> _Series2:
-    nx, ny = max_weight, max_weight
-    one = _Series2(nx, ny, {(0, 0): 1})
-    x3y = _Series2(nx, ny, {(3, 1): 1} if nx >= 3 else {})
-    term1 = x3y * _geometric_x(2, nx, ny)
-    y2 = _Series2(nx, ny, {(0, 2): 1} if ny >= 2 else {})
-    x12y2 = _Series2(nx, ny, {(12, 2): 1} if nx >= 12 and ny >= 2 else {})
-    term2 = x12y2 * (one - y2) * _geometric_x(4, nx, ny) \
-        * _geometric_x(6, nx, ny)
-    return one - term1 + term2
+def _bk_series(max_weight: int) -> LinComb:
+    # 1 - x^3 y / (1 - x^2) + x^12 y^2 (1 - y^2) / ((1 - x^4) (1 - x^6))
+    cap = max_weight
+    term1 = _series_mul(LinComb.term((3, 1)), _geometric_x(2, cap), cap)
+    term2 = LinComb.term((12, 2))
+    for f in (_ONE - LinComb.term((0, 2)), _geometric_x(4, cap),
+              _geometric_x(6, cap)):
+        term2 = _series_mul(term2, f, cap)
+    return _ONE - term1 + term2
 
 
 def bk_counts(max_weight: int) -> BkTable:
@@ -242,17 +210,14 @@ def bk_counts(max_weight: int) -> BkTable:
     series; integrality violations are reported, never rounded away."""
     if max_weight < 3:
         raise ValueError("max_weight must be at least 3")
-    L = _bk_series(max_weight)
-    nx, ny = L.nx, L.ny
-    one = _Series2(nx, ny, {(0, 0): 1})
-    c = _neg_log1p(L - one)
+    c = _neg_log1p(_bk_series(max_weight) - _ONE, max_weight)
 
     values: dict[tuple[int, int], int] = {}
     exact: dict[tuple[int, int], Fraction] = {}
     violations = []
     for n in range(1, max_weight + 1):
-        for k in range(1, ny + 1):
-            d = Fraction(c.c.get((n, k), 0))
+        for k in range(1, max_weight + 1):
+            d = Fraction(c[(n, k)])
             g = gcd(n, k)
             for j in range(2, g + 1):
                 if g % j == 0:
@@ -268,15 +233,15 @@ def bk_counts(max_weight: int) -> BkTable:
 def bk_reconstruct(table: BkTable) -> bool:
     """Re-exponentiation: prod (1 - x^n y^k)^D_{n,k} must reproduce the
     series the counts were extracted from, within the truncation caps."""
-    L = _bk_series(table.max_weight)
-    prod = _Series2(L.nx, L.ny, {(0, 0): 1})
+    cap = table.max_weight
+    prod = _ONE
     for (n, k), d in sorted(table.values.items()):
         if d < 0:
             return False
-        factor = _Series2(L.nx, L.ny, {(0, 0): 1, (n, k): -1})
+        factor = LinComb({(0, 0): 1, (n, k): -1})
         for _ in range(d):
-            prod = prod * factor
-    return prod.c == L.c
+            prod = _series_mul(prod, factor, cap)
+    return prod == _bk_series(cap)
 
 
 def dim_bridge(max_n: int) -> tuple[list[int], list[int]]:

@@ -34,6 +34,7 @@ pivots.
 from __future__ import annotations
 
 import functools
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -94,16 +95,7 @@ def monomial_weight(m: GeneratorMonomial) -> int:
 
 def gp_mul(p: LinComb, q: LinComb) -> LinComb:
     """Product of generator polynomials (multiset union of factors)."""
-    d = {}
-    for m1, c1 in p.items():
-        for m2, c2 in q.items():
-            m = canonical_monomial(m1 + m2)
-            s = d.get(m, 0) + c1 * c2
-            if s:
-                d[m] = s
-            elif m in d:
-                del d[m]
-    return LinComb._raw(d)
+    return p.product(q, lambda m1, m2: {canonical_monomial(m1 + m2): 1})
 
 
 def preference_key(w: Word):
@@ -393,6 +385,22 @@ def check_polynomial_freeness(n: int, cache=None,
 # ---------------------------------------------------------------------------
 # generator polynomial text form
 
+# A generator polynomial is a signed sum of terms.  A term is a rational n or
+# n/d, then factors z(s1,...,sk), with an optional * between any two of them;
+# the rational or the factors may be left out, not both.  Spaces and tabs may
+# stand between any two tokens.  _GEN_EXPR is the whole grammar; _GEN_TERM
+# pulls (sign, n, d, factors) out of a text that it accepts, its lookahead
+# making a term start with a digit or a z.
+_SP = r"[ \t]*"
+_FACTOR = rf"z{_SP}\({_SP}\d+(?:{_SP},{_SP}\d+)*{_SP}\)"
+_TERM = (rf"(?=[\dz])(?:(\d+)(?:{_SP}/{_SP}(\d+))?)?"
+         rf"((?:{_SP}(?:\*{_SP})?{_FACTOR})*)")
+_GEN_EXPR = re.compile(
+    rf"{_SP}(?:[+-]{_SP})?{_TERM}(?:{_SP}[+-]{_SP}{_TERM})*{_SP}")
+_GEN_TERM = re.compile(rf"([+-]?){_SP}{_TERM}")
+_GEN_FACTOR = re.compile(rf"z{_SP}\(([^)]*)\)")
+
+
 def format_generator_monomial(m: GeneratorMonomial) -> str:
     return "*".join(f"z({format_comp(f)})" for f in m)
 
@@ -405,106 +413,22 @@ def format_generator_poly(p: LinComb) -> str:
 
 def parse_generator_poly(text: str) -> LinComb:
     """Parse `9/2*z(5) - 2*z(2)*z(3)` style sums; bare rationals allowed."""
-    i = 0
-    n = len(text)
-
-    def skip() -> None:
-        nonlocal i
-        while i < n and text[i] in " \t":
-            i += 1
-
-    def fail(msg: str):
-        raise ValueError(f"{msg} at position {i}")
-
-    def parse_uint() -> int:
-        nonlocal i
-        start = i
-        while i < n and text[i].isdigit():
-            i += 1
-        if i == start:
-            fail("expected a number")
-        return int(text[start:i])
-
-    def parse_factor() -> Composition:
-        nonlocal i
-        if text[i] != "z":
-            fail("expected z(...)")
-        i += 1
-        skip()
-        if i >= n or text[i] != "(":
-            fail("expected '(' after z")
-        i += 1
-        parts = []
-        while True:
-            skip()
-            parts.append(parse_uint())
-            skip()
-            if i < n and text[i] == ",":
-                i += 1
-                continue
-            if i < n and text[i] == ")":
-                i += 1
-                break
-            fail("expected ',' or ')'")
-        if any(p < 1 for p in parts):
-            fail("index parts must be positive")
-        return tuple(parts)
-
-    def parse_term():
-        nonlocal i
-        coeff = Fraction(1)
-        explicit = False
-        skip()
-        if i < n and text[i].isdigit():
-            explicit = True
-            num = parse_uint()
-            skip()
-            if i < n and text[i] == "/":
-                i += 1
-                skip()
-                den = parse_uint()
-                if den == 0:
-                    fail("zero denominator")
-                coeff = Fraction(num, den)
-            else:
-                coeff = Fraction(num)
-            skip()
-            if i < n and text[i] == "*":
-                i += 1
-                skip()
-                if i >= n or text[i] != "z":
-                    fail("expected z(...) after '*'")
-        factors = []
-        while i < n and text[i] == "z":
-            factors.append(parse_factor())
-            skip()
-            if i < n and text[i] == "*":
-                i += 1
-                skip()
-                if i >= n or text[i] != "z":
-                    fail("expected z(...) after '*'")
-        if not factors and not explicit:
-            fail("expected a term")
-        return coeff, canonical_monomial(factors)
-
+    if _GEN_EXPR.fullmatch(text) is None:
+        valid = _GEN_EXPR.match(text)
+        raise ValueError("bad generator polynomial at position "
+                         f"{valid.end() if valid else 0}")
     total = LinComb.zero()
-    skip()
-    sign = 1
-    if i < n and text[i] in "+-":
-        sign = -1 if text[i] == "-" else 1
-        i += 1
-    while True:
-        coeff, mono = parse_term()
-        total = total + LinComb.term(mono, sign * coeff)
-        skip()
-        if i >= n:
-            break
-        if text[i] == "+":
-            sign = 1
-        elif text[i] == "-":
-            sign = -1
-        else:
-            fail("expected '+' or '-'")
-        i += 1
-        skip()
+    for m in _GEN_TERM.finditer(text):
+        sign, num, den = m.group(1, 2, 3)
+        if den is not None and not int(den):
+            raise ValueError(f"zero denominator at position {m.start(3)}")
+        factors = []
+        for f in _GEN_FACTOR.finditer(m[4]):
+            parts = tuple(int(s) for s in f[1].split(","))
+            if min(parts) < 1:
+                raise ValueError("index parts must be positive at position "
+                                 f"{m.start(4) + f.start()}")
+            factors.append(parts)
+        coeff = Fraction(int(sign + (num or "1")), int(den or 1))
+        total = total + LinComb.term(canonical_monomial(factors), coeff)
     return total

@@ -118,18 +118,8 @@ def bracket(l: Word) -> LinComb:
 
 def right_residual(p: LinComb, q: LinComb) -> LinComb:
     """The word polynomial r with (r|w) = (p|qw), extended bilinearly in q."""
-    d = {}
-    for v, cv in q.items():
-        k = len(v)
-        for u, cu in p.items():
-            if u.startswith(v):
-                w = u[k:]
-                s = d.get(w, 0) + cu * cv
-                if s:
-                    d[w] = s
-                else:
-                    del d[w]
-    return LinComb._raw(d)
+    return q.product(
+        p, lambda v, u: {u[len(v):]: 1} if u.startswith(v) else {})
 
 
 def residual_derivation(p: LinComb, l: Word) -> LinComb:

@@ -18,6 +18,7 @@ A load returns None, a miss that the engine rebuilds, for a file that:
 - has a bad checksum, or another format or engine version;
 - does not parse: a bad header, line, expression or generator polynomial,
   or a zero denominator;
+- names a basis preference order that the engine does not know;
 - speaks of another weight: a word or a generator monomial whose weight is
   not the file's, or a file name of another degree;
 - has generator lines for other words than the basis, or new generators
@@ -39,6 +40,7 @@ from pathlib import Path
 
 from .engine import (
     ENGINE_VERSION,
+    PREFERENCES,
     RewriteTable,
     format_generator_poly,
     monomial_weight,
@@ -168,7 +170,8 @@ def _deserialize(text: str) -> RewriteTable | None:
     except (ValueError, IndexError, ZeroDivisionError):
         return None
     basis_set = set(basis)
-    if set(gen_map) != basis_set or not basis_set.issuperset(new):
+    if (preference not in PREFERENCES or set(gen_map) != basis_set
+            or not basis_set.issuperset(new)):
         return None
     # the rules and the basis cover the weight's words: every rule term is
     # a basis word, and the rule heads and the basis words are distinct H2

@@ -8,10 +8,12 @@ ending in '1' (plus the unit); a composition is admissible iff s1 >= 2,
 equivalently iff its word lies in H2.
 
 Every linear structure in the package (word polynomials, composition
-polynomials, Lyndon polynomials, generator polynomials) is a finite rational
-linear combination of hashable keys and shares the LinComb container below.
+polynomials, Lyndon polynomials, generator polynomials, the truncated
+bivariate series of the counting checks) is a finite rational linear
+combination of hashable keys and shares the LinComb container below.
 Coefficients are exact: fractions.Fraction, with plain int tolerated as a
-denominator-one rational.
+denominator-one rational.  Every product of two such combinations is the
+bilinear extension LinComb.product of a product on keys.
 """
 
 from __future__ import annotations
@@ -162,6 +164,22 @@ class LinComb:
                     d.pop(k2, None)
         return LinComb._raw(d)
 
+    def product(self, other: "LinComb",
+                mul: Callable[[Hashable, Hashable], Mapping]) -> "LinComb":
+        """Bilinear extension of mul, which maps two keys to the keys of
+        their product with integer multiplicities."""
+        d = {}
+        for k1, c1 in self._terms.items():
+            for k2, c2 in other._terms.items():
+                c = c1 * c2
+                for k, mult in mul(k1, k2).items():
+                    s = d.get(k, 0) + c * mult
+                    if s:
+                        d[k] = s
+                    else:
+                        del d[k]
+        return LinComb._raw(d)
+
     def __repr__(self) -> str:
         if not self._terms:
             return "LinComb(0)"
@@ -308,31 +326,12 @@ def _shuffle_words(u: Word, v: Word) -> dict[Word, int]:
 
 def shuffle(p: LinComb, q: LinComb) -> LinComb:
     """Shuffle product of two word polynomials (bilinear extension)."""
-    d = {}
-    for u, cu in p.items():
-        for v, cv in q.items():
-            c = cu * cv
-            for w, mult in _shuffle_words(u, v).items():
-                s = d.get(w, 0) + c * mult
-                if s:
-                    d[w] = s
-                else:
-                    del d[w]
-    return LinComb._raw(d)
+    return p.product(q, _shuffle_words)
 
 
 def concat(p: LinComb, q: LinComb) -> LinComb:
     """Concatenation product of two word polynomials."""
-    d = {}
-    for u, cu in p.items():
-        for v, cv in q.items():
-            w = u + v
-            s = d.get(w, 0) + cu * cv
-            if s:
-                d[w] = s
-            else:
-                del d[w]
-    return LinComb._raw(d)
+    return p.product(q, lambda u, v: {u + v: 1})
 
 
 # ---------------------------------------------------------------------------
@@ -371,17 +370,7 @@ def _stuffle_comps(a: Composition, b: Composition) -> dict[Composition, int]:
 
 def stuffle(p: LinComb, q: LinComb) -> LinComb:
     """Stuffle (harmonic) product of two composition polynomials."""
-    d = {}
-    for a, ca in p.items():
-        for b, cb in q.items():
-            c = ca * cb
-            for r, mult in _stuffle_comps(a, b).items():
-                s = d.get(r, 0) + c * mult
-                if s:
-                    d[r] = s
-                else:
-                    del d[r]
-    return LinComb._raw(d)
+    return p.product(q, _stuffle_comps)
 
 
 # ---------------------------------------------------------------------------

@@ -113,6 +113,26 @@ def test_bk_records_skip_annotation(capsys):
                                 "bk 8 2 1", "bk 9 1 1"]
 
 
+# stdout of `--records bk --max-weight 30`, one n,k:count per line
+BK_RECORDS_TO_30 = """
+3,1:1 5,1:1 7,1:1 8,2:1 9,1:1 10,2:1 11,1:1 11,3:1 12,2:1 12,4:1 13,1:1
+13,3:2 14,2:2 14,4:1 15,1:1 15,3:2 15,5:1 16,2:2 16,4:3 17,1:1 17,3:4
+17,5:2 18,2:2 18,4:5 18,6:1 19,1:1 19,3:5 19,5:5 20,2:3 20,4:7 20,6:3
+21,1:1 21,3:6 21,5:9 21,7:1 22,2:3 22,4:11 22,6:7 23,1:1 23,3:8 23,5:15
+23,7:4 24,2:3 24,4:16 24,6:14 24,8:1 25,1:1 25,3:10 25,5:23 25,7:11
+26,2:4 26,4:20 26,6:27 26,8:5 27,1:1 27,3:11 27,5:36 27,7:23 27,9:2
+28,2:4 28,4:27 28,6:45 28,8:16 29,1:1 29,3:14 29,5:50 29,7:48 29,9:7
+30,2:4 30,4:35 30,6:73 30,8:37 30,10:2
+"""
+
+
+def test_bk_records_to_weight_30_are_pinned(capsys):
+    code, out, err = run(capsys, "--records", "bk", "--max-weight", "30")
+    want = "".join("bk {} {} {}\n".format(*t.replace(":", ",").split(","))
+                   for t in BK_RECORDS_TO_30.split())
+    assert (code, out, err) == (0, want, "")
+
+
 def test_freeness(capsys):
     code, out, _ = run(capsys, "freeness", "--degree", "5")
     assert code == 0 and "PASS" in out and "(5)" in out
@@ -398,6 +418,16 @@ def test_cache_rebuild_is_deterministic(capsys, isolated_cache):
 def test_cache_rebuild_rejects_nondefault_preference(capsys):
     code, _, err = run(capsys, "--prefer", "lex", "cache", "--rebuild")
     assert code == 2 and "preference" in err
+
+
+def test_cache_rebuild_that_writes_nothing_is_an_error(capsys, tmp_path):
+    # a regular file as the cache directory: every write fails
+    target = tmp_path / "not-a-directory"
+    target.write_text("")
+    code, out, err = run(capsys, "--cache-dir", str(target), "cache",
+                         "--rebuild", "--degree", "4")
+    assert code == 2 and out == "" and err.startswith("error:")
+    assert all(f"degree-0{n}.table" in err for n in (2, 3, 4))
 
 
 def test_rewrite_populates_cache(capsys, isolated_cache):

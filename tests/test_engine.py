@@ -407,3 +407,148 @@ def test_parse_format_roundtrip(pairs):
     for mono, c in pairs:
         p = p + LinComb.term(mono, c)
     assert parse_generator_poly(format_generator_poly(p)) == p
+
+
+# the scanner the compiled grammar replaced, kept as the oracle of the
+# language parse_generator_poly accepts
+def parse_by_scanner(text):
+    i = 0
+    n = len(text)
+
+    def skip():
+        nonlocal i
+        while i < n and text[i] in " \t":
+            i += 1
+
+    def fail(msg):
+        raise ValueError(f"{msg} at position {i}")
+
+    def parse_uint():
+        nonlocal i
+        start = i
+        while i < n and text[i].isdigit():
+            i += 1
+        if i == start:
+            fail("expected a number")
+        return int(text[start:i])
+
+    def parse_factor():
+        nonlocal i
+        if text[i] != "z":
+            fail("expected z(...)")
+        i += 1
+        skip()
+        if i >= n or text[i] != "(":
+            fail("expected '(' after z")
+        i += 1
+        parts = []
+        while True:
+            skip()
+            parts.append(parse_uint())
+            skip()
+            if i < n and text[i] == ",":
+                i += 1
+                continue
+            if i < n and text[i] == ")":
+                i += 1
+                break
+            fail("expected ',' or ')'")
+        if any(p < 1 for p in parts):
+            fail("index parts must be positive")
+        return tuple(parts)
+
+    def parse_term():
+        nonlocal i
+        coeff = Fraction(1)
+        explicit = False
+        skip()
+        if i < n and text[i].isdigit():
+            explicit = True
+            num = parse_uint()
+            skip()
+            if i < n and text[i] == "/":
+                i += 1
+                skip()
+                den = parse_uint()
+                if den == 0:
+                    fail("zero denominator")
+                coeff = Fraction(num, den)
+            else:
+                coeff = Fraction(num)
+            skip()
+            if i < n and text[i] == "*":
+                i += 1
+                skip()
+                if i >= n or text[i] != "z":
+                    fail("expected z(...) after '*'")
+        factors = []
+        while i < n and text[i] == "z":
+            factors.append(parse_factor())
+            skip()
+            if i < n and text[i] == "*":
+                i += 1
+                skip()
+                if i >= n or text[i] != "z":
+                    fail("expected z(...) after '*'")
+        if not factors and not explicit:
+            fail("expected a term")
+        return coeff, canonical_monomial(factors)
+
+    total = LinComb.zero()
+    skip()
+    sign = 1
+    if i < n and text[i] in "+-":
+        sign = -1 if text[i] == "-" else 1
+        i += 1
+    while True:
+        coeff, mono = parse_term()
+        total = total + LinComb.term(mono, sign * coeff)
+        skip()
+        if i >= n:
+            break
+        if text[i] == "+":
+            sign = 1
+        elif text[i] == "-":
+            sign = -1
+        else:
+            fail("expected '+' or '-'")
+        i += 1
+        skip()
+    return total
+
+
+def parse_result(parse, text):
+    try:
+        return "ok", parse(text)
+    except ValueError:
+        return "error", None
+
+
+# what a mutation inserts or deletes: the grammar's own characters, the
+# whitespace it does and does not allow, an Arabic-Indic three (a decimal
+# digit that int() reads) and a superscript two (isdigit() but no decimal)
+_mutation_chars = st.sampled_from(
+    list("z()0123456789,*/+-") + [" ", "\t", "\n", "٣", "²"])
+
+
+@st.composite
+def generator_texts(draw):
+    p = LinComb.zero()
+    for mono, num, den in draw(st.lists(st.tuples(
+            mono_st, st.integers(-20, 20), st.integers(1, 12)), max_size=4)):
+        p = p + LinComb.term(mono, Fraction(num, den))
+    text = format_generator_poly(p)
+    for _ in range(draw(st.integers(0, 4))):
+        pos = draw(st.integers(0, len(text)))
+        if draw(st.booleans()) and pos < len(text):
+            text = text[:pos] + text[pos + 1:]
+        else:
+            text = text[:pos] + draw(_mutation_chars) + text[pos:]
+    return text
+
+
+@given(generator_texts())
+@settings(max_examples=500, deadline=None)
+def test_parser_accepts_the_scanner_language(text):
+    assert parse_result(parse_generator_poly, text) == \
+        parse_result(parse_by_scanner, text), text

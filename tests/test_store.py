@@ -114,6 +114,7 @@ def test_stale_engine_version_is_a_miss(tmp_path):
 
 @pytest.mark.parametrize("index, line", [
     (2, "degree"),
+    (3, "preference foo"),
     (6, "rule 011 = 1*0x1"),
     (6, "rule 011 = 1/0*001"),
     # checksum-valid, well-formed, but of another weight
