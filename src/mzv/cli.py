@@ -28,6 +28,7 @@ from .words import (
     shuffle,
     stuffle,
     validate_word,
+    word_sort_key,
     word_to_comp,
 )
 
@@ -60,47 +61,40 @@ def _cache(args):
     return store.TableStore(store.resolve_root(args.cache_dir))
 
 
-def _print_word_poly(args, p: LinComb) -> int:
+def _print_terms(args, p: LinComb, text, key=word_sort_key,
+                 label=str) -> int:
+    # one line of text, or with --records one `term` line per key
     if args.records:
-        for w in sorted(p.support(), key=lambda w: (len(w), w)):
-            print(f"term {w} {p[w]}")
+        for k in sorted(p.support(), key=key):
+            print(f"term {label(k)} {p[k]}")
     else:
-        print(format_word_poly(p))
+        print(text(p))
     return 0
 
 
 def cmd_shuffle(args) -> int:
     for w in (args.w1, args.w2):
         validate_word(w)
-    return _print_word_poly(
-        args, shuffle(LinComb.term(args.w1), LinComb.term(args.w2)))
+    return _print_terms(args, shuffle(LinComb.term(args.w1),
+                                      LinComb.term(args.w2)), format_word_poly)
 
 
 def cmd_stuffle(args) -> int:
     c1, c2 = parse_comp(args.c1), parse_comp(args.c2)
-    p = stuffle(LinComb.term(c1), LinComb.term(c2))
-    if args.records:
-        for c in sorted(p.support(), key=lambda c: (sum(c), len(c), c)):
-            print(f"term {format_comp(c)} {p[c]}")
-    else:
-        print(format_comp_poly(p))
-    return 0
+    return _print_terms(args, stuffle(LinComb.term(c1), LinComb.term(c2)),
+                        format_comp_poly, key=lambda c: (sum(c), len(c), c),
+                        label=format_comp)
 
 
 def cmd_reg(args) -> int:
     validate_word(args.word)
-    return _print_word_poly(args, reg(LinComb.term(args.word)))
+    return _print_terms(args, reg(LinComb.term(args.word)), format_word_poly)
 
 
 def cmd_decompose(args) -> int:
     validate_word(args.word)
-    p = radford_decompose_poly(LinComb.term(args.word))
-    if args.records:
-        for mono in sorted(p.support()):
-            print(f"term {'.'.join(mono)} {p[mono]}")
-    else:
-        print(format_lyndon_poly(p))
-    return 0
+    return _print_terms(args, radford_decompose_poly(LinComb.term(args.word)),
+                        format_lyndon_poly, key=None, label=".".join)
 
 
 def cmd_knt(args) -> int:

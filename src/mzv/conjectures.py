@@ -190,9 +190,6 @@ class BkTable:
     values: dict[tuple[int, int], int]
     violations: tuple[tuple[int, int, Fraction], ...]
 
-    def value(self, n: int, k: int) -> int:
-        return self.values.get((n, k), 0)
-
 
 def _bk_series(max_weight: int) -> LinComb:
     # 1 - x^3 y / (1 - x^2) + x^12 y^2 (1 - y^2) / ((1 - x^4) (1 - x^6))

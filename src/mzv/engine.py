@@ -327,12 +327,6 @@ def check_polynomial_freeness(n: int, cache=None,
         return FreenessReport(2, True, tuple(singles), ())
     table = echelonize_degree(n, cache, prefer)
 
-    # every word of a rule is an H2 word of weight n, and so is every word
-    # its decomposition passes through; decreasing order is the cheaper one
-    for w in sorted({w for u, r in table.rules.items() for w in (u, *r)},
-                    reverse=True):
-        radford_decompose(w)
-
     @functools.cache
     def factor(l: Word) -> LinComb:
         return express_in_generators(word_to_comp(l), cache, prefer)

@@ -65,13 +65,6 @@ class SparseMatrix:
                 clean[c] = v
         self.rows.append(clean)
 
-    @property
-    def n_rows(self) -> int:
-        return len(self.rows)
-
-    def __repr__(self) -> str:
-        return f"SparseMatrix({self.n_rows}x{self.n_cols})"
-
 
 class EchelonForm:
     def __init__(self, n_cols: int, pivots: dict[int, int],
@@ -83,9 +76,6 @@ class EchelonForm:
     @property
     def rank(self) -> int:
         return len(self.pivots)
-
-    def __repr__(self) -> str:
-        return f"EchelonForm(rank={self.rank}, n_cols={self.n_cols})"
 
 
 # ---------------------------------------------------------------------------

@@ -12,9 +12,10 @@ expansion of the monomial built from a word's Chen-Fox-Lyndon factors has
 that word as its lexicographically largest term, with coefficient equal to
 the product of the factor multiplicities' factorials.  The right-residual
 derivation machinery is included as well; it is an alternative route to the
-same decomposition and is exercised by the test suite (Leibniz rule).  The
-engine's freeness check runs on the per-word map radford_decompose, whose
-results stay in a memo for the life of the process.
+same decomposition, exercised by the test suite (Leibniz rule) and by
+acceptance criterion 09.  The engine's freeness check runs on the per-word
+map radford_decompose, whose results stay in a memo for the life of the
+process; the cascade inside radford_decompose_poly never reads that memo.
 """
 
 from __future__ import annotations
@@ -174,7 +175,7 @@ def radford_decompose_poly(p: LinComb) -> LinComb:
     tuple is the constant term.  Triangular rewriting on the current leading
     word (lexicographically largest, '0' < '1'); each step replaces it by
     strictly smaller words of the same length, so the loop terminates.
-    Words already in the per-word memo are substituted from it.
+    Every word is rewritten here: the per-word memo is not read.
 
     The words still to rewrite carry integer numerators over one common
     denominator, raised only when a leading coefficient does not divide.
@@ -198,13 +199,7 @@ def radford_decompose_poly(p: LinComb) -> LinComb:
         c = work.pop(w, 0)
         if not c:
             continue                      # cancelled, or a stale entry
-        # the empty word is the constant monomial
-        hit = _radford_memo.get(w) if w else LinComb.term(())
-        if hit is not None:
-            for mono, c2 in hit.items():
-                add(mono, Fraction(c, den) * c2)
-            continue
-        mono = tuple(sorted(cfl_factor(w)))
+        mono = tuple(sorted(cfl_factor(w)))  # () for the empty word
         lead = _multiplicity_factorial(mono)
         # the expansion's top term is exactly lead * w, which we popped
         g = lead // gcd(c, lead)

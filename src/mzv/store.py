@@ -11,13 +11,14 @@ signed sum of words, each with an optional coefficient `n*` or `n/d*`.  The
 sign may be left out before the first term only.  Each expression is
 checked once against the whole grammar, its terms come out of one scan, and
 each coefficient becomes a Fraction of two ints, memoized by its text for
-the lines of one file.  Terms are summed only when a word repeats or a
-coefficient is zero.
+the lines of one file.  The writer never emits a zero coefficient or a word
+twice in one rule, so the reader takes either for a malformed rule.
 
 A load returns None, a miss that the engine rebuilds, for a file that:
+- cannot be read or decoded as text;
 - has a bad checksum, or another format or engine version;
 - does not parse: a bad header, line, expression or generator polynomial,
-  or a zero denominator;
+  a zero denominator, a zero coefficient or a repeated word in one rule;
 - names a basis preference order that the engine does not know;
 - speaks of another weight: a word or a generator monomial whose weight is
   not the file's, or a file name of another degree;
@@ -46,7 +47,7 @@ from .engine import (
     monomial_weight,
     parse_generator_poly,
 )
-from .words import LinComb, _format_terms, in_h2, word_sort_key
+from .words import LinComb, format_word_poly, in_h2, word_sort_key
 
 __all__ = ["FORMAT_VERSION", "TableStore", "resolve_root"]
 
@@ -69,11 +70,6 @@ def resolve_root(flag: str | None = None) -> Path:
     return Path(".mzv-cache")
 
 
-def _format_word_terms(p: LinComb) -> str:
-    words = sorted(p.support(), key=word_sort_key)
-    return _format_terms([(w, p[w]) for w in words])
-
-
 def _coefficient(text: str) -> Fraction:
     """The value of a coefficient text such as "- 3/2*", "+ " or ""."""
     num, _, den = text.lstrip("+-").strip().rstrip("*").partition("/")
@@ -82,40 +78,28 @@ def _coefficient(text: str) -> Fraction:
 
 
 def _parse_word_terms(text: str, coeffs: dict | None = None) -> LinComb:
-    """Parse a rule expression.  coeffs memoizes nonzero coefficient values
-    by their text.  A syntax error raises ValueError and a zero denominator
-    ZeroDivisionError, whichever comes first from the left."""
+    """Parse a rule expression.  coeffs memoizes coefficient values by their
+    text.  A syntax error, a zero coefficient or a repeated word raises
+    ValueError, a zero denominator ZeroDivisionError."""
     text = text.strip()
     if not text or text == "0":
         return LinComb.zero()
     if _EXPR.fullmatch(text) is None:
-        valid = _EXPR.match(text)
-        end = valid.end() if valid else 0
-        # the terms before the error are evaluated, as a parse from the left
-        # would, so a zero denominator among them raises ZeroDivisionError
-        for coeff, _ in _TERM.findall(text, 0, end):
-            _coefficient(coeff)
-        raise ValueError(f"bad rule expression at offset {end}: {text!r}")
+        raise ValueError(f"bad rule expression: {text!r}")
     if coeffs is None:
         coeffs = {}
     terms = _TERM.findall(text)
     out = {}
-    has_zero = False
     for coeff, w in terms:
         c = coeffs.get(coeff)
         if c is None:
             c = _coefficient(coeff)
-            if c:
-                coeffs[coeff] = c
-            else:
-                has_zero = True
+            if not c:
+                raise ValueError(f"zero coefficient in {text!r}")
+            coeffs[coeff] = c
         out[w] = c
-    # a repeated word or a zero coefficient: sum the terms after all
-    if has_zero or len(out) < len(terms):
-        out = {}
-        for coeff, w in terms:
-            out[w] = out.get(w, 0) + _coefficient(coeff)
-        out = {w: c for w, c in out.items() if c}
+    if len(out) < len(terms):
+        raise ValueError(f"repeated word in {text!r}")
     return LinComb._raw(out)
 
 
@@ -129,7 +113,7 @@ def _serialize(table: RewriteTable) -> str:
         "new " + " ".join(table.new_generators),
     ]
     for w in sorted(table.rules, key=word_sort_key):
-        lines.append(f"rule {w} = {_format_word_terms(table.rules[w])}")
+        lines.append(f"rule {w} = {format_word_poly(table.rules[w])}")
     for b in table.basis_words:
         lines.append(f"gen {b} := {format_generator_poly(table.generator_map[b])}")
     body = "\n".join(lines) + "\n"
@@ -210,7 +194,7 @@ class TableStore:
         path = self._path(degree)
         try:
             text = path.read_text()
-        except OSError:
+        except (OSError, UnicodeDecodeError):
             return None
         table = _deserialize(text)
         if table is not None and table.degree == degree:

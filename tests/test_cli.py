@@ -69,6 +69,30 @@ def test_records_mode(capsys):
     assert out.splitlines() == ["term 0011 4", "term 0101 2"]
 
 
+# stdout of the term printers, text then --records, as recorded
+TERM_STDOUT = [
+    (["shuffle", "01", "011"], "6*00111 + 3*01011 + 01101\n",
+     "term 00111 6\nterm 01011 3\nterm 01101 1\n"),
+    (["reg", "1101"], "3*0111\n", "term 0111 3\n"),
+    (["stuffle", "2,1", "3"],
+     "z(2,4) + z(5,1) + z(2,1,3) + z(2,3,1) + z(3,2,1)\n",
+     "term 2,4 1\nterm 5,1 1\nterm 2,1,3 1\nterm 2,3,1 1\n"
+     "term 3,2,1 1\n"),
+    (["decompose", "001011"], "001011\n", "term 001011 1\n"),
+    (["decompose", "1100"],
+     "1/4*1\u00b71\u00b70\u00b70 - 01\u00b71\u00b70 + 011\u00b70 "
+     "+ 001\u00b71 - 0011\n",
+     "term 0.0.1.1 1/4\nterm 0.01.1 -1\nterm 0.011 1\nterm 001.1 1\n"
+     "term 0011 -1\n"),
+]
+
+
+@pytest.mark.parametrize("argv,text,records", TERM_STDOUT)
+def test_term_printers_stdout_is_pinned(capsys, argv, text, records):
+    assert run(capsys, *argv) == (0, text, "")
+    assert run(capsys, "--records", *argv) == (0, records, "")
+
+
 # ---------------------------------------------------------------------------
 # rank and counting reports
 

@@ -173,13 +173,6 @@ def test_bk_frozen_table():
     assert dict(table.values) == BK_TO_16
 
 
-def test_bk_value_accessor():
-    table = bk_counts(9)
-    assert table.value(3, 1) == 1
-    assert table.value(4, 1) == 0
-    assert table.value(8, 2) == 1
-
-
 def test_bk_row_sums_equal_necklace_counts():
     table = bk_counts(16)
     counts = n23_counts(16)
