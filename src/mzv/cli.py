@@ -63,10 +63,11 @@ def _cache(args):
 
 def _print_terms(args, p: LinComb, text, key=word_sort_key,
                  label=str) -> int:
-    # one line of text, or with --records one `term` line per key
+    # one line of text, or with --records one `term` line per key; the
+    # empty key prints as "" so the line keeps three fields
     if args.records:
         for k in sorted(p.support(), key=key):
-            print(f"term {label(k)} {p[k]}")
+            print("term", label(k) or '""', p[k])
     else:
         print(text(p))
     return 0

@@ -6,6 +6,17 @@ columns form the basis of the weight-n span.  Preference ranks words by
 depth, then first index part descending, then index parts lexicographically;
 this reproduces the published generator choices (5), (7), (6,2), (9), (8,2).
 
+The preference order is one of the worst orders for fill on these rows, so
+the elimination runs in two stages.  The rows are first echelonized in a
+low-fill order: depth descending, then the reversed word ascending.  That
+RREF's rows are then echelonized once more in the preference order.  They
+span the same space as the relation rows, and the RREF of a row space is
+unique for a column order; both stages are certified exactly over Q, so the
+rules and basis are those a single elimination in the preference order
+gives.  Forward entry updates (one prime) drop from 893k to 444k at weight
+11 and from 5.99M to 2.65M at weight 12; the second stage adds under 500,
+since its input is already reduced and back-substitution does its work.
+
 Basis words are then resolved against products of the generators
 accumulated from lower weights by one RREF whose rows are the basis
 coordinates and whose columns are the product values, then the unit vector
@@ -201,9 +212,12 @@ def echelonize_degree(n: int, cache=None, prefer: str = "depth") -> RewriteTable
 
     mat = knt_system(n)
     words = mat.column_labels
+    low_fill = sorted(range(len(words)),
+                      key=lambda i: (-words[i].count("1"), words[i][::-1]))
     order = sorted(range(len(words)),
                    key=lambda i: key(words[i]), reverse=True)
-    ech = rref(mat, order)
+    ech = rref(SparseMatrix(len(words), words, rref(mat, low_fill).rows),
+               order)
     basis_words = tuple(sorted((w for i, w in enumerate(words)
                                 if i not in ech.pivots), key=key))
     rules: dict[Word, LinComb] = {}

@@ -84,6 +84,10 @@ TERM_STDOUT = [
      "+ 001\u00b71 - 0011\n",
      "term 0.0.1.1 1/4\nterm 0.01.1 -1\nterm 0.011 1\nterm 001.1 1\n"
      "term 0011 -1\n"),
+    # the empty key prints as "" under --records
+    (["reg", ""], "1\n", 'term "" 1\n'),
+    (["shuffle", "", ""], "1\n", 'term "" 1\n'),
+    (["decompose", ""], "1\n", 'term "" 1\n'),
 ]
 
 

@@ -282,6 +282,30 @@ def test_preference_mismatch_raises(cache):
         echelonize_degree(4, cache, prefer="lex")
 
 
+def rules_from_direct_rref(n, prefer):
+    """Test oracle: basis and rules read off one rref of knt_system(n) in
+    the preference order, least preferred column first."""
+    key = PREFERENCES[prefer]
+    mat = knt_system(n)
+    words = mat.column_labels
+    ech = rref(mat, sorted(range(len(words)), key=lambda i: key(words[i]),
+                           reverse=True))
+    basis = tuple(sorted((w for i, w in enumerate(words)
+                          if i not in ech.pivots), key=key))
+    rules = {words[c]: LinComb({words[j]: -v for j, v in ech.rows[i].items()
+                                if j != c})
+             for c, i in ech.pivots.items()}
+    return basis, rules
+
+
+@pytest.mark.parametrize("prefer", ["depth", "lex"])
+def test_tables_match_the_direct_rref_oracle(prefer):
+    store = TableStore()
+    for n in range(3, 11):
+        t = echelonize_degree(n, store, prefer)
+        assert (t.basis_words, t.rules) == rules_from_direct_rref(n, prefer), n
+
+
 def test_unknown_preference_rejected():
     with pytest.raises(ValueError):
         echelonize_degree(3, TableStore(), prefer="colex")

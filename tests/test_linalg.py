@@ -206,6 +206,19 @@ def test_rref_idempotent(m):
         sorted(map(sorted, (r.items() for r in e.rows)))
 
 
+@given(matrices_st, st.data())
+@settings(max_examples=60, deadline=None)
+def test_rref_of_an_rref_in_another_order(m, data):
+    # the RREF of a row space is unique for a column order, so it does not
+    # matter which echelon form of the same rows the elimination starts from
+    o1 = data.draw(st.permutations(range(m.n_cols)))
+    o2 = data.draw(st.permutations(range(m.n_cols)))
+    e = rref(SparseMatrix(m.n_cols, rows=rref(m, o1).rows), o2)
+    direct = rref(m, o2)
+    assert e.pivots == direct.pivots
+    assert e.rows == direct.rows
+
+
 @given(matrices_st)
 @settings(max_examples=40, deadline=None)
 def test_row_space_preserved(m):
