@@ -7,15 +7,17 @@ depth, then first index part descending, then index parts lexicographically;
 this reproduces the published generator choices (5), (7), (6,2), (9), (8,2).
 
 The preference order is one of the worst orders for fill on these rows, so
-the elimination runs in two stages.  The rows are first echelonized in a
+the elimination runs in two stages within one `rref` call (its
+`first_order`).  For each prime the rows are first echelonized in a
 low-fill order: depth descending, then the reversed word ascending.  That
-RREF's rows are then echelonized once more in the preference order.  They
-span the same space as the relation rows, and the RREF of a row space is
-unique for a column order; both stages are certified exactly over Q, so the
-rules and basis are those a single elimination in the preference order
-gives.  Forward entry updates (one prime) drop from 893k to 444k at weight
-11 and from 5.99M to 2.65M at weight 12; the second stage adds under 500,
-since its input is already reduced and back-substitution does its work.
+echelon's rows are then echelonized once more in the preference order.
+They span the same space as the relation rows mod p, and the RREF of a row
+space is unique for a column order; only the final echelon is lifted to Q,
+and it is certified exactly against the relation rows, so the rules and
+basis are those a single elimination in the preference order gives.
+Forward entry updates (one prime) drop from 893k to 444k at weight 11 and
+from 5.99M to 2.65M at weight 12; the second stage adds under 500, since
+its input is already reduced and back-substitution does its work.
 
 Basis words are then resolved against products of the generators
 accumulated from lower weights by one RREF whose rows are the basis
@@ -216,8 +218,7 @@ def echelonize_degree(n: int, cache=None, prefer: str = "depth") -> RewriteTable
                       key=lambda i: (-words[i].count("1"), words[i][::-1]))
     order = sorted(range(len(words)),
                    key=lambda i: key(words[i]), reverse=True)
-    ech = rref(SparseMatrix(len(words), words, rref(mat, low_fill).rows),
-               order)
+    ech = rref(mat, order, first_order=low_fill)
     basis_words = tuple(sorted((w for i, w in enumerate(words)
                                 if i not in ech.pivots), key=key))
     rules: dict[Word, LinComb] = {}
@@ -407,6 +408,10 @@ _GEN_EXPR = re.compile(
     rf"{_SP}(?:[+-]{_SP})?{_TERM}(?:{_SP}[+-]{_SP}{_TERM})*{_SP}")
 _GEN_TERM = re.compile(rf"([+-]?){_SP}{_TERM}")
 _GEN_FACTOR = re.compile(rf"z{_SP}\(([^)]*)\)")
+# A completion for each state of the grammar (a complete text takes one more
+# factor z(1)): a text is a prefix of some valid expression exactly when one
+# of these completes it.
+_GEN_COMPLETIONS = ("1", ")", "1)", "(1)", "z(1)")
 
 
 def format_generator_monomial(m: GeneratorMonomial) -> str:
@@ -422,9 +427,11 @@ def format_generator_poly(p: LinComb) -> str:
 def parse_generator_poly(text: str) -> LinComb:
     """Parse `9/2*z(5) - 2*z(2)*z(3)` style sums; bare rationals allowed."""
     if _GEN_EXPR.fullmatch(text) is None:
-        valid = _GEN_EXPR.match(text)
-        raise ValueError("bad generator polynomial at position "
-                         f"{valid.end() if valid else 0}")
+        # the first character that no valid expression continues with
+        pos = next(k for k in range(len(text), -1, -1)
+                   if any(_GEN_EXPR.fullmatch(text[:k] + s)
+                          for s in _GEN_COMPLETIONS))
+        raise ValueError(f"bad generator polynomial at position {pos}")
     total = LinComb.zero()
     for m in _GEN_TERM.finditer(text):
         sign, num, den = m.group(1, 2, 3)

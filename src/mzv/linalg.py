@@ -4,10 +4,16 @@ Rows are sparse mappings column-index -> coefficient.  `rref` computes the
 reduced row echelon form for a given column order with one modular kernel:
 
 1. Each row is scaled to integers and divided by its content.
-2. The integer rows are reduced modulo a 61-bit prime p and eliminated in
-   column order; within a column the pivot is the eligible row with the
-   fewest nonzeros (ties: lowest original row index).  Back-substitution
-   mod p leaves pivot-1 rows.
+2. The integer rows are eliminated modulo a prime p in column order; within
+   a column the pivot is the eligible row with the fewest entries (ties:
+   lowest original row index).  Reduction is lazy: rows not yet chosen as
+   pivots hold integer representatives of their residues, and a row update
+   subtracts b * v without reducing.  The multiplier b is reduced once per
+   row and pivot (a row with b = 0 mod p is left alone), and a row is
+   reduced in full, its zero residues dropped, when it is chosen as a pivot;
+   if its entry in the pivot column is then 0 mod p it goes back and the
+   choice is made again.  Pivot rows, back-substitution and the returned
+   echelon hold residues in [0, p) and no zeros.
 3. Every entry is lifted to Q by Chinese remaindering over the primes used
    so far and Wang's rational reconstruction: a/b with |a|, b <= sqrt(M/2),
    M the product of those primes.
@@ -20,11 +26,26 @@ reduced row echelon form for a given column order with one modular kernel:
      form for the column order, is its unique RREF, whatever primes
      produced it.
 
+With `first_order`, each prime's pass eliminates the rows in that order
+first and then eliminates the resulting echelon rows, pivot entries
+restored, in the column order.  A good first order keeps fill low, and the
+second stage, whose input is already reduced, costs little.  The echelon
+rows of the first stage are independent mod p and span the raw rows mod p,
+so the final pivot count is still the rank mod p of the raw rows, and the
+certificate above, run against the raw rows, holds unchanged.  Only the
+final echelon is lifted and certified.
+
 When reconstruction or the certificate fails, the next prime of a fixed
-sequence (2^61 - 1, then the primes below it in decreasing order) is added.
-A prime whose pivot set is worse (lower rank, or later pivots in the column
-order) is unlucky and dropped; one with a better pivot set replaces those
-gathered so far.  Unlucky primes are finitely many, so the loop ends.
+sequence is added: the Mersenne primes 2^89 - 1, 2^107 - 1 and 2^127 - 1,
+then 2^61 - 1 and the primes below it in decreasing order.  A residue below
+2^89 takes three 30-bit digits of a CPython int, as one below 2^61 does, and
+one 89-bit prime lifts a/b with |a|, b up to 2^44: the RREFs of the
+relation systems through weight 14 need one pass (the largest numerator at
+weight 14 is 0.61 of that bound).  The Mersenne primes are known primes;
+`_is_prime`, exact only below about 2^81, is asked only about numbers below
+2^61.  A prime whose pivot set is worse (lower rank, or later pivots in the
+column order) is unlucky and dropped; one with a better pivot set replaces
+those gathered so far.  Unlucky primes are finitely many, so the loop ends.
 
 `rank` is the pivot count of `rref` in reversed column order.
 """
@@ -112,8 +133,9 @@ def _is_prime(n: int) -> bool:
 
 
 def _primes() -> Iterator[int]:
-    """2^61 - 1 (a Mersenne prime), then the primes below it in decreasing
-    order."""
+    """The Mersenne primes 2^89 - 1, 2^107 - 1 and 2^127 - 1, then 2^61 - 1
+    and the primes below it in decreasing order."""
+    yield from ((1 << 89) - 1, (1 << 107) - 1, (1 << 127) - 1)
     n = (1 << 61) - 1
     yield n
     while True:
@@ -125,47 +147,43 @@ def _primes() -> Iterator[int]:
 def _eliminate(rows: list[dict[int, int]], col_order: Sequence[int],
                p: int) -> list[tuple[int, dict[int, int]]]:
     """RREF mod p: (pivot column, row without its pivot entry) in scan
-    order; each row holds only free columns later in col_order."""
-    active = []
-    for r in rows:
-        rr = {}
-        for c, v in r.items():
-            v %= p
-            if v:
-                rr[c] = v
-        if rr:
-            active.append(rr)
+    order; each row holds only free columns later in col_order, as nonzero
+    residues in [0, p).  Rows not yet chosen as pivots are reduced lazily
+    (module docstring, step 2)."""
+    active = [dict(r) for r in rows if r]
 
     echelon: list[tuple[int, dict[int, int]]] = []
     for c in col_order:
         if not active:
             break
-        best = -1
-        best_len = 0
-        for i, row in enumerate(active):
-            if c in row and (best < 0 or len(row) < best_len):
-                best, best_len = i, len(row)
-        if best < 0:
+        a = 0
+        while not a:
+            best = -1
+            best_len = 0
+            for i, row in enumerate(active):
+                if c in row and (best < 0 or len(row) < best_len):
+                    best, best_len = i, len(row)
+            if best < 0:
+                break
+            prow = {k: r for k, v in active.pop(best).items() if (r := v % p)}
+            a = prow.pop(c, 0)
+            if not a and prow:
+                active.insert(best, prow)   # c was 0 mod p: choose again
+        if not a:
             continue
-        prow = active.pop(best)
-        inv = pow(prow.pop(c), -1, p)
+        inv = pow(a, -1, p)
         for k in prow:
             prow[k] = prow[k] * inv % p
         items = list(prow.items())
         nxt = []
         for row in active:
-            b = row.pop(c, 0)
+            b = row.pop(c, 0) % p
             if b:
                 get = row.get
                 for k, v in items:
-                    s = (get(k, 0) - b * v) % p
-                    if s:
-                        row[k] = s
-                    else:
-                        del row[k]     # b * v != 0 mod p, so k was there
-                if not row:
-                    continue
-            nxt.append(row)
+                    row[k] = get(k, 0) - b * v
+            if row:
+                nxt.append(row)
         active = nxt
         echelon.append((c, prow))
 
@@ -245,14 +263,19 @@ def _certify(rows: list[dict[int, int]],
     return True
 
 
-def rref(m: SparseMatrix, col_order: Sequence[int]) -> EchelonForm:
+def rref(m: SparseMatrix, col_order: Sequence[int],
+         first_order: Sequence[int] | None = None) -> EchelonForm:
     """Reduced row echelon form scanning pivot columns in col_order.
 
     The result (pivot set and reduced rows) is the unique RREF of the row
-    space under that column order, certified exactly over Q.
+    space under that column order, certified exactly over Q.  With
+    first_order, each prime first eliminates the rows in that order and
+    then the resulting echelon rows in col_order; the result is the same.
     """
-    if sorted(col_order) != list(range(m.n_cols)):
-        raise ValueError("col_order is not a permutation of the columns")
+    for order in (col_order, first_order):
+        if order is not None and sorted(order) != list(range(m.n_cols)):
+            raise ValueError("column order is not a permutation of the "
+                             "columns")
     pos = {c: i for i, c in enumerate(col_order)}
     rows = [r for r in map(_to_int_row, m.rows) if r]
 
@@ -260,7 +283,10 @@ def rref(m: SparseMatrix, col_order: Sequence[int]) -> EchelonForm:
     modulus = 1
     tails: dict[int, dict[int, int]] = {}
     for p in _primes():
-        echelon = _eliminate(rows, col_order, p)
+        work = rows
+        if first_order is not None:
+            work = [{c: 1, **r} for c, r in _eliminate(rows, first_order, p)]
+        echelon = _eliminate(work, col_order, p)
         key = (-len(echelon), [pos[c] for c, _ in echelon])
         if best_key is not None and key > best_key:
             continue                      # unlucky prime: worse pivots

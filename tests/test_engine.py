@@ -401,6 +401,17 @@ def test_parse_errors_carry_position():
         with pytest.raises(ValueError) as e:
             parse_generator_poly(bad)
         assert "position" in str(e.value)
+    # the offset of the first character no valid expression continues with
+    for bad, pos in [("z(2, ", 5), (" *z(5)", 1), ("z(2) & z(3)", 5)]:
+        with pytest.raises(ValueError, match=f"at position {pos}$"):
+            parse_generator_poly(bad)
+    # every prefix of a valid text fails, if at all, at its end
+    text = " - 9 / 2 * z ( 5 , 1 ) z(3)*z(2) + 2 - z(4)\t"
+    for k in range(len(text) + 1):
+        try:
+            parse_generator_poly(text[:k])
+        except ValueError as e:
+            assert str(e).endswith(f"at position {k}"), (text[:k], e)
 
 
 def test_monomial_canonicalization():

@@ -7,13 +7,13 @@ modular kernel needs several primes.
 """
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, islice
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mzv.linalg import SparseMatrix, _primes, rank, rref
+from mzv.linalg import SparseMatrix, _eliminate, _primes, rank, rref
 
 
 # ---------------------------------------------------------------------------
@@ -48,19 +48,25 @@ def rank_oracle(m: SparseMatrix) -> int:
     return best
 
 
-def rref_oracle(m: SparseMatrix, order: list[int]):
-    """Dense Gauss-Jordan over Fraction: (pivot columns, {pivot: row})."""
-    work = [[Fraction(r.get(c, 0)) for c in range(m.n_cols)]
-            for r in m.rows]
+def rref_oracle(m: SparseMatrix, order: list[int], p: int | None = None):
+    """Dense Gauss-Jordan over Fraction, or over the integers mod p when p
+    is given: (pivot columns, {pivot: row})."""
+    def red(v):
+        return v if p is None else v % p
+
+    work = [[Fraction(r.get(c, 0)) if p is None else r.get(c, 0) % p
+             for c in range(m.n_cols)] for r in m.rows]
     done: list[tuple[int, list[Fraction]]] = []
     for c in order:
         i = next((i for i, r in enumerate(work) if r[c]), None)
         if i is None:
             continue
         prow = work.pop(i)
-        prow = [v / prow[c] for v in prow]
-        work = [[v - r[c] * pv for v, pv in zip(r, prow)] for r in work]
-        done = [(c2, [v - r[c] * pv for v, pv in zip(r, prow)])
+        inv = 1 / prow[c] if p is None else pow(prow[c], -1, p)
+        prow = [red(v * inv) for v in prow]
+        work = [[red(v - r[c] * pv) for v, pv in zip(r, prow)]
+                for r in work]
+        done = [(c2, [red(v - r[c] * pv) for v, pv in zip(r, prow)])
                 for c2, r in done]
         done.append((c, prow))
     return ([c for c, _ in done],
@@ -142,6 +148,49 @@ def test_rejects_bad_col_order():
     m = from_dense([[1]], 1)
     with pytest.raises(ValueError):
         rref(m, [0, 0])
+    with pytest.raises(ValueError):
+        rref(m, [0], first_order=[1])
+
+
+def test_exact_cancellation_leaves_a_multiple_of_p():
+    # the normalized pivot row is (1, (p+1)/2), so the rows below it keep
+    # -p and -2p at column 1 until they are reduced
+    m = from_dense([[2, 1], [2, 1], [4, 2]], 2)
+    for e in (rref(m, [0, 1]), rref(m, [0, 1], first_order=[1, 0])):
+        assert e.pivots == {0: 0}
+        assert e.rows == [{0: 1, 1: Fraction(1, 2)}]
+
+
+def test_prime_sequence():
+    ps = list(islice(_primes(), 6))
+    assert ps[:4] == [2**89 - 1, 2**107 - 1, 2**127 - 1, 2**61 - 1]
+    assert ps[3] > ps[4] > ps[5]
+    assert all(pow(2, q - 1, q) == 1 for q in ps)
+
+
+int_rows_st = st.integers(1, 5).flatmap(
+    lambda nc: st.tuples(
+        st.lists(st.lists(st.one_of(st.integers(-3, 3),
+                                    st.sampled_from([7, -14, 21])),
+                          min_size=nc, max_size=nc),
+                 min_size=0, max_size=6),
+        st.permutations(range(nc))))
+
+
+@given(int_rows_st)
+@settings(max_examples=100, deadline=None)
+def test_eliminate_matches_gauss_jordan_mod_p(case):
+    # entries 7, -14 and 21 vanish mod 7 in the lazy rows
+    dense, order = case
+    m = from_dense(dense, len(order))
+    for p in (7, next(_primes())):
+        echelon = _eliminate([dict(r) for r in m.rows], order, p)
+        for _, row in echelon:
+            assert all(0 < v < p for v in row.values())
+        pivots, rows = rref_oracle(m, order, p)
+        assert [c for c, _ in echelon] == pivots
+        assert [{c: 1, **row} for c, row in echelon] == \
+            [rows[c] for c in pivots]
 
 
 # ---------------------------------------------------------------------------
@@ -217,6 +266,9 @@ def test_rref_of_an_rref_in_another_order(m, data):
     direct = rref(m, o2)
     assert e.pivots == direct.pivots
     assert e.rows == direct.rows
+    staged = rref(m, o2, first_order=o1)
+    assert staged.pivots == direct.pivots
+    assert staged.rows == direct.rows
 
 
 @given(matrices_st)
