@@ -57,7 +57,7 @@ def _check_degree(args, n: int, low: int = 2) -> None:
 def _cache(args):
     # alternative basis orders never touch the persistent cache
     if args.prefer != "depth":
-        return store.TableStore()
+        return store.TableStore(preference=args.prefer)
     return store.TableStore(store.resolve_root(args.cache_dir))
 
 
@@ -140,8 +140,7 @@ def cmd_verify(args) -> int:
         _check_degree(args, weight)
     failed = False
     if args.mode in ("symbolic", "both"):
-        ok, residual = engine.verify_identity(ident, _cache(args),
-                                              args.prefer)
+        ok, residual = engine.verify_identity(ident, _cache(args))
         if args.records:
             print(f"symbolic {int(ok)}")
         elif ok:
@@ -171,7 +170,7 @@ def cmd_verify(args) -> int:
 def cmd_rewrite(args) -> int:
     comp = parse_comp(args.comp)
     _check_degree(args, sum(comp))
-    gp = engine.express_in_generators(comp, _cache(args), args.prefer)
+    gp = engine.express_in_generators(comp, _cache(args))
     print(engine.format_generator_poly(gp))
     return 0
 
@@ -241,8 +240,7 @@ def cmd_numeric(args) -> int:
 
 def cmd_freeness(args) -> int:
     _check_degree(args, args.degree)
-    report = engine.check_polynomial_freeness(args.degree, _cache(args),
-                                              args.prefer)
+    report = engine.check_polynomial_freeness(args.degree, _cache(args))
     comps = [format_comp(word_to_comp(w)) for w in report.new_generators]
     if args.records:
         print(f"freeness {report.degree} {int(report.ok)} "

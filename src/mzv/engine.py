@@ -2,9 +2,12 @@
 
 For each weight n the double-shuffle rows are echelonized under a column
 order that eliminates the least preferred words first, so the surviving free
-columns form the basis of the weight-n span.  Preference ranks words by
-depth, then first index part descending, then index parts lexicographically;
-this reproduces the published generator choices (5), (7), (6,2), (9), (8,2).
+columns form the basis of the weight-n span.  The preference order is the
+table store's: `TableStore(preference=...)` names a key of PREFERENCES, and
+every function here reads it from the store it is given.  The default,
+"depth", ranks words by depth, then first index part descending, then index
+parts lexicographically; this reproduces the published generator choices
+(5), (7), (6,2), (9), (8,2).
 
 The preference order is one of the worst orders for fill on these rows, so
 the elimination runs in two stages within one `rref` call (its
@@ -121,16 +124,8 @@ def _preference_lex(w: Word):
     return word_to_comp(w)
 
 
-# alternative basis orders stay in-memory only; the persistent cache holds
-# tables for the default order
+# the table store names the order its tables are built in
 PREFERENCES = {"depth": preference_key, "lex": _preference_lex}
-
-
-def _pref(name: str):
-    try:
-        return PREFERENCES[name]
-    except KeyError:
-        raise ValueError(f"unknown preference order {name!r}") from None
 
 
 @dataclass(frozen=True)
@@ -140,7 +135,6 @@ class RewriteTable:
     rules: dict[Word, LinComb]             # non-basis word -> basis combination
     generator_map: dict[Word, LinComb]     # basis word -> generator polynomial
     new_generators: tuple[Word, ...]
-    preference: str = "depth"
 
     def coords(self, w: Word) -> LinComb:
         r = self.rules.get(w)
@@ -191,26 +185,18 @@ def _product_value(mono: GeneratorMonomial, table: "RewriteTable") -> LinComb:
     return p.map_linear(lambda comp: table.coords(comp_to_word(comp)))
 
 
-def echelonize_degree(n: int, cache=None, prefer: str = "depth") -> RewriteTable:
-    """Rewrite table for weight n; lower-weight tables are built on demand."""
-    key = _pref(prefer)
+def echelonize_degree(n: int, cache=None) -> RewriteTable:
+    """Rewrite table for weight n in the cache's preference order;
+    lower-weight tables are built on demand."""
     cache = _resolve(cache)
     hit = cache.get(n)
     if hit is not None:
-        if hit.preference != prefer:
-            raise ValueError(
-                f"cache holds {hit.preference!r}-order tables; "
-                f"use a separate cache for {prefer!r}")
         return hit
     if n < 2:
         raise ValueError("weight must be at least 2")
-    if n == 2:
-        table = RewriteTable(2, ("01",), {},
-                             {"01": LinComb.term(((2,),))}, ("01",), prefer)
-        cache.put(table)
-        return table
+    key = PREFERENCES[cache.preference]
     for m in range(2, n):
-        echelonize_degree(m, cache, prefer)
+        echelonize_degree(m, cache)
 
     mat = knt_system(n)
     words = mat.column_labels
@@ -225,7 +211,7 @@ def echelonize_degree(n: int, cache=None, prefer: str = "depth") -> RewriteTable
     for c, i in ech.pivots.items():
         rules[words[c]] = LinComb._raw(
             {words[j]: -v for j, v in ech.rows[i].items() if j != c})
-    table = RewriteTable(n, basis_words, rules, {}, (), prefer)
+    table = RewriteTable(n, basis_words, rules, {}, ())
 
     # rows: basis coordinates; columns: the product values, then the unit
     # vector of each basis word in preference order
@@ -254,19 +240,16 @@ def echelonize_degree(n: int, cache=None, prefer: str = "depth") -> RewriteTable
                                        for p, r in res.pivots.items()
                                        if c in res.rows[r]})
 
-    table = RewriteTable(n, basis_words, rules, gen_map, tuple(new_gens),
-                         prefer)
+    table = RewriteTable(n, basis_words, rules, gen_map, tuple(new_gens))
     cache.put(table)
     return table
 
 
-def express_in_generators(c: Composition, cache=None,
-                          prefer: str = "depth") -> LinComb:
+def express_in_generators(c: Composition, cache=None) -> LinComb:
     """zeta(c) as a polynomial in the accumulated generators."""
     if not is_admissible(c):
         raise ValueError(f"index is not admissible: {c!r}")
-    cache = _resolve(cache)
-    table = echelonize_degree(comp_weight(c), cache, prefer)
+    table = echelonize_degree(comp_weight(c), cache)
     return table.coords(comp_to_word(c)).map_linear(
         table.generator_map.__getitem__)
 
@@ -292,23 +275,22 @@ def identity_weight(ident: Identity):
     return weights.pop() if weights else None
 
 
-def _normalize_side(side: LinComb, cache, prefer: str) -> LinComb:
+def _normalize_side(side: LinComb, cache) -> LinComb:
     out = LinComb.zero()
     for mono, coeff in side.items():
         gp = LinComb.term(())
         for f in mono:
-            gp = gp_mul(gp, express_in_generators(f, cache, prefer))
+            gp = gp_mul(gp, express_in_generators(f, cache))
         out = out + coeff * gp
     return out
 
 
-def verify_identity(ident: Identity, cache=None, prefer: str = "depth"):
+def verify_identity(ident: Identity, cache=None):
     """(True, zero) when both sides share a normal form, else (False,
     residual) with residual = normal(lhs) - normal(rhs)."""
     identity_weight(ident)
-    cache = _resolve(cache)
-    residual = _normalize_side(ident.lhs, cache, prefer) - \
-        _normalize_side(ident.rhs, cache, prefer)
+    residual = _normalize_side(ident.lhs, cache) - \
+        _normalize_side(ident.rhs, cache)
     return (not residual, residual)
 
 
@@ -327,24 +309,19 @@ class FreenessReport:
         return len(self.new_generators)
 
 
-def check_polynomial_freeness(n: int, cache=None,
-                              prefer: str = "depth") -> FreenessReport:
+def check_polynomial_freeness(n: int, cache=None) -> FreenessReport:
     """Echelonize the rule rows of the weight-n table over Lyndon-monomial
     variables (products substituted through lower-weight generator
     expressions) scanning single columns first; passes when no pivot falls
     on a product column.  Builds and caches the tables up to weight n."""
-    if n < 2:
-        raise ValueError("weight must be at least 2")
-    key = _pref(prefer)
     cache = _resolve(cache)
+    table = echelonize_degree(n, cache)
+    key = PREFERENCES[cache.preference]
     singles = [l for l in lyndon_words(n) if in_h2(l)]
-    if n == 2:
-        return FreenessReport(2, True, tuple(singles), ())
-    table = echelonize_degree(n, cache, prefer)
 
     @functools.cache
     def factor(l: Word) -> LinComb:
-        return express_in_generators(word_to_comp(l), cache, prefer)
+        return express_in_generators(word_to_comp(l), cache)
 
     @functools.cache
     def substitute(mono: LyndonMonomial) -> tuple[dict, int]:

@@ -24,7 +24,15 @@ import heapq
 from fractions import Fraction
 from math import factorial, gcd, lcm
 
-from .words import LinComb, Word, concat, shuffle, word_poly
+from .words import (
+    LinComb,
+    Word,
+    _format_terms,
+    concat,
+    shuffle,
+    word_poly,
+    word_sort_key,
+)
 
 __all__ = [
     "is_lyndon",
@@ -237,18 +245,15 @@ def radford_decompose(w: Word) -> LinComb:
 # printing
 
 def format_lyndon_monomial(mono: LyndonMonomial) -> str:
-    from .words import word_sort_key
     return "\N{MIDDLE DOT}".join(sorted(mono, key=word_sort_key, reverse=True))
 
 
 def _monomial_sort_key(mono: LyndonMonomial):
-    from .words import word_sort_key
     fac = tuple(word_sort_key(f) for f in sorted(mono, key=word_sort_key))
     return (sum(len(f) for f in mono), fac)
 
 
 def format_lyndon_poly(p: LinComb) -> str:
-    from .words import _format_terms
     keys = sorted(p.support(), key=_monomial_sort_key)
     pairs = [(format_lyndon_monomial(m), p[m]) for m in keys]
     return _format_terms(pairs)

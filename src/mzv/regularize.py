@@ -137,8 +137,8 @@ def _rows_to_matrix(n: int, rows: list[LinComb]) -> SparseMatrix:
 def knt_system(n: int) -> SparseMatrix:
     """Relation rows for w1 in H2 and w0 in the fixed four-word set, at
     weight n; columns are the 2^(n-2) H2 words of length n."""
-    if n < 3:
-        raise ValueError("weight must be at least 3")
+    if n < 2:
+        raise ValueError("weight must be at least 2")
     rows = []
     for w0 in sorted(KNT_W0_SET, key=lambda w: (len(w), w)):
         k = n - len(w0)
@@ -155,8 +155,8 @@ def full_system(n: int) -> SparseMatrix:
     When w0 is itself in H2 the pair is symmetric; the mirrored duplicate is
     skipped.
     """
-    if n < 3:
-        raise ValueError("weight must be at least 3")
+    if n < 2:
+        raise ValueError("weight must be at least 2")
     rows = []
     for k in range(1, n - 1):
         for w0 in h1_words(k):

@@ -19,7 +19,7 @@ A load returns None, a miss that the engine rebuilds, for a file that:
 - has a bad checksum, or another format or engine version;
 - does not parse: a bad header, line, expression or generator polynomial,
   a zero denominator, a zero coefficient or a repeated word in one rule;
-- names a basis preference order that the engine does not know;
+- names another order than the store's;
 - speaks of another weight: a word or a generator monomial whose weight is
   not the file's, or a file name of another degree;
 - has generator lines for other words than the basis, or new generators
@@ -103,12 +103,12 @@ def _parse_word_terms(text: str, coeffs: dict | None = None) -> LinComb:
     return LinComb._raw(out)
 
 
-def _serialize(table: RewriteTable) -> str:
+def _serialize(table: RewriteTable, preference: str) -> str:
     lines = [
         f"mzv-table {FORMAT_VERSION}",
         f"engine {ENGINE_VERSION}",
         f"degree {table.degree}",
-        f"preference {table.preference}",
+        f"preference {preference}",
         "basis " + " ".join(table.basis_words),
         "new " + " ".join(table.new_generators),
     ]
@@ -121,7 +121,7 @@ def _serialize(table: RewriteTable) -> str:
     return body + f"checksum {digest}\n"
 
 
-def _deserialize(text: str) -> RewriteTable | None:
+def _deserialize(text: str, preference: str) -> RewriteTable | None:
     lines = text.splitlines()
     if len(lines) < 7 or not lines[-1].startswith("checksum "):
         return None
@@ -132,11 +132,12 @@ def _deserialize(text: str) -> RewriteTable | None:
         return None
     if lines[1] != f"engine {ENGINE_VERSION}":
         return None
+    if lines[3] != f"preference {preference}":
+        return None
     # a body that passes the checksum can still be malformed, or speak of
     # another weight: treat it like a corrupt file, so it is rebuilt
     try:
         degree = int(lines[2].split()[1])
-        preference = lines[3].split()[1]
         basis = tuple(lines[4].split()[1:])
         new = tuple(lines[5].split()[1:])
         rules: dict[str, LinComb] = {}
@@ -154,8 +155,7 @@ def _deserialize(text: str) -> RewriteTable | None:
     except (ValueError, IndexError, ZeroDivisionError):
         return None
     basis_set = set(basis)
-    if (preference not in PREFERENCES or set(gen_map) != basis_set
-            or not basis_set.issuperset(new)):
+    if set(gen_map) != basis_set or not basis_set.issuperset(new):
         return None
     # the rules and the basis cover the weight's words: every rule term is
     # a basis word, and the rule heads and the basis words are distinct H2
@@ -172,14 +172,18 @@ def _deserialize(text: str) -> RewriteTable | None:
     if any(monomial_weight(m) != degree
            for gp in gen_map.values() for m in gp):
         return None
-    return RewriteTable(degree, basis, rules, gen_map, new, preference)
+    return RewriteTable(degree, basis, rules, gen_map, new)
 
 
 class TableStore:
-    """Memory-backed table cache with an optional directory behind it."""
+    """Memory-backed table cache with an optional directory behind it,
+    holding tables of one basis preference order (a key of PREFERENCES)."""
 
-    def __init__(self, root=None):
+    def __init__(self, root=None, preference: str = "depth"):
+        if preference not in PREFERENCES:
+            raise ValueError(f"unknown preference order {preference!r}")
         self.root = Path(root) if root is not None else None
+        self.preference = preference
         self._mem: dict[int, RewriteTable] = {}
 
     def _path(self, degree: int) -> Path:
@@ -196,7 +200,7 @@ class TableStore:
             text = path.read_text()
         except (OSError, UnicodeDecodeError):
             return None
-        table = _deserialize(text)
+        table = _deserialize(text, self.preference)
         if table is not None and table.degree == degree:
             self._mem[degree] = table
             return table
@@ -209,7 +213,8 @@ class TableStore:
         # a failed write is not fatal: the table stays in memory
         with suppress(OSError):
             self.root.mkdir(parents=True, exist_ok=True)
-            self._write(self._path(table.degree), _serialize(table))
+            self._write(self._path(table.degree),
+                        _serialize(table, self.preference))
 
     def wipe(self) -> None:
         self._mem.clear()

@@ -24,6 +24,7 @@ from mzv.conjectures import (
     verify_zagier,
     zagier_dims,
 )
+from mzv.engine import echelonize_degree
 from mzv.linalg import rank
 from mzv.regularize import knt_system
 from mzv.store import TableStore
@@ -59,6 +60,14 @@ def test_verify_zagier_ranks_match_the_relation_systems():
     # the table-derived ranks against an elimination that reads no table
     for r in verify_zagier(8, TableStore()):
         assert r.rank == rank(knt_system(r.degree))
+
+
+def test_verify_zagier_reads_the_store_order():
+    # rows come from the store's own tables; the dimensions do not depend
+    # on the basis order
+    lex = TableStore(preference="lex")
+    echelonize_degree(8, lex)
+    assert verify_zagier(8, lex) == verify_zagier(8, TableStore())
 
 
 # ---------------------------------------------------------------------------

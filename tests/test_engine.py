@@ -52,8 +52,8 @@ def cache():
     return c
 
 
-def rewrite(comp, cache, prefer="depth"):
-    return format_generator_poly(express_in_generators(comp, cache, prefer))
+def rewrite(comp, cache):
+    return format_generator_poly(express_in_generators(comp, cache))
 
 
 # ---------------------------------------------------------------------------
@@ -107,6 +107,8 @@ def test_coords_on_basis_word_is_unit(cache):
 def test_degree_below_two_rejected(cache):
     with pytest.raises(ValueError):
         echelonize_degree(1, cache)
+    with pytest.raises(ValueError):
+        check_polynomial_freeness(1, cache)
 
 
 # ---------------------------------------------------------------------------
@@ -247,39 +249,28 @@ def test_trivial_weight_zero_identity(cache):
 # basis preference override
 
 def test_lex_preference_builds_different_basis():
-    lex = TableStore()
-    t = echelonize_degree(5, lex, prefer="lex")
-    assert t.preference == "lex"
+    t = echelonize_degree(5, TableStore(preference="lex"))
     assert tuple(word_to_comp(w) for w in t.basis_words) == \
         ((2, 1, 1, 1), (2, 1, 2))
 
 
 def test_lex_preference_weight_three_euler():
-    lex = TableStore()
-    t = echelonize_degree(3, lex, prefer="lex")
+    lex = TableStore(preference="lex")
+    t = echelonize_degree(3, lex)
     # lexicographically 011 < 001, so ζ(2,1) becomes the generator
     assert t.basis_words == ("011",)
     assert format_generator_poly(
-        express_in_generators((3,), lex, prefer="lex")) == "z(2,1)"
+        express_in_generators((3,), lex)) == "z(2,1)"
 
 
 def test_identities_hold_under_either_preference(cache):
-    lex = TableStore()
+    lex = TableStore(preference="lex")
     for text in ["z(2,1) = z(3)", "z(2,3) = 9/2*z(5) - 2*z(2)*z(3)",
                  "z(2)*z(2) = 2*z(2,2) + z(4)"]:
-        ok, _ = verify_identity(ident(text), lex, prefer="lex")
+        ok, _ = verify_identity(ident(text), lex)
         assert ok, text
         ok, _ = verify_identity(ident(text), cache)
         assert ok, text
-
-
-def test_preference_mismatch_raises(cache):
-    lex = TableStore()
-    echelonize_degree(4, lex, prefer="lex")
-    with pytest.raises(ValueError):
-        echelonize_degree(4, lex, prefer="depth")
-    with pytest.raises(ValueError):
-        echelonize_degree(4, cache, prefer="lex")
 
 
 def rules_from_direct_rref(n, prefer):
@@ -300,15 +291,15 @@ def rules_from_direct_rref(n, prefer):
 
 @pytest.mark.parametrize("prefer", ["depth", "lex"])
 def test_tables_match_the_direct_rref_oracle(prefer):
-    store = TableStore()
-    for n in range(3, 11):
-        t = echelonize_degree(n, store, prefer)
+    store = TableStore(preference=prefer)
+    for n in range(2, 11):
+        t = echelonize_degree(n, store)
         assert (t.basis_words, t.rules) == rules_from_direct_rref(n, prefer), n
 
 
 def test_unknown_preference_rejected():
     with pytest.raises(ValueError):
-        echelonize_degree(3, TableStore(), prefer="colex")
+        TableStore(preference="colex")
 
 
 # ---------------------------------------------------------------------------
@@ -330,11 +321,11 @@ def test_freeness_survivors_match_table_generators(cache):
         assert rep.new_generators == t.new_generators
 
 
-def freeness_from_raw_rows(n, cache, prefer):
+def freeness_from_raw_rows(n, cache):
     """Test oracle: the check run on every raw row of knt_system(n), each
     rewritten in Lyndon monomials by the triangular rewrite and substituted
     term by term."""
-    key = PREFERENCES[prefer]
+    key = PREFERENCES[cache.preference]
     singles = [l for l in lyndon_words(n) if in_h2(l)]
     mat = knt_system(n)
     words = mat.column_labels
@@ -349,8 +340,7 @@ def freeness_from_raw_rows(n, cache, prefer):
                 continue
             gp = LinComb.term(())
             for f in mono:
-                gp = gp_mul(gp, express_in_generators(word_to_comp(f),
-                                                      cache, prefer))
+                gp = gp_mul(gp, express_in_generators(word_to_comp(f), cache))
             out = out + coeff * gp.map_keys(lambda g: ("p", g))
         rows.append(out)
     labels = [("s", l) for l in sorted(singles, key=key, reverse=True)] + \
@@ -368,10 +358,10 @@ def freeness_from_raw_rows(n, cache, prefer):
 
 @pytest.mark.parametrize("prefer", ["depth", "lex"])
 def test_freeness_matches_the_raw_row_oracle(prefer):
-    cache = TableStore()
-    for n in range(3, 10):
-        want = freeness_from_raw_rows(n, cache, prefer)
-        assert check_polynomial_freeness(n, cache, prefer) == want, n
+    cache = TableStore(preference=prefer)
+    for n in range(2, 10):
+        want = freeness_from_raw_rows(n, cache)
+        assert check_polynomial_freeness(n, cache) == want, n
 
 
 # ---------------------------------------------------------------------------

@@ -144,6 +144,14 @@ def test_knt_column_counts():
     assert knt_system(6).n_cols == 16
 
 
+def test_weight_two_systems_have_no_rows():
+    for m in (knt_system(2), full_system(2)):
+        assert (m.n_cols, m.column_labels, m.rows) == (1, ["01"], [])
+    for system in (knt_system, full_system):
+        with pytest.raises(ValueError):
+            system(1)
+
+
 def test_w0_set():
     assert set(KNT_W0_SET) == {"1", "01", "001", "011"}
 

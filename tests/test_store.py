@@ -71,7 +71,6 @@ def test_round_trip_all_fields(tmp_path):
         assert got.rules == want.rules
         assert got.generator_map == want.generator_map
         assert got.new_generators == want.new_generators
-        assert got.preference == want.preference
 
 
 def test_missing_degree_is_none(tmp_path):
@@ -115,6 +114,8 @@ def test_stale_engine_version_is_a_miss(tmp_path):
 @pytest.mark.parametrize("index, line", [
     (2, "degree"),
     (3, "preference foo"),
+    # a known order, but not the store's
+    (3, "preference lex"),
     (6, "rule 011 = 1*0x1"),
     (6, "rule 011 = 1/0*001"),
     # the writer never repeats a word or writes a zero coefficient
@@ -229,16 +230,16 @@ LEX_DIGESTS = {
 
 
 def test_lex_tables_match_the_recorded_digests():
-    st = TableStore(None)
+    st = TableStore(None, preference="lex")
     for n, digest in LEX_DIGESTS.items():
-        text = _serialize(echelonize_degree(n, st, prefer="lex"))
+        text = _serialize(echelonize_degree(n, st), "lex")
         assert hashlib.sha256(text.encode()).hexdigest() == digest, n
 
 
 def test_serialization_is_deterministic():
     st = TableStore(None)
     t = echelonize_degree(8, st)
-    assert _serialize(t) == _serialize(t)
+    assert _serialize(t, "depth") == _serialize(t, "depth")
 
 
 def test_wrong_degree_filename_is_a_miss(tmp_path):
