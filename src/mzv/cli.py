@@ -18,7 +18,7 @@ from mpmath import mp
 from . import conjectures, engine, numeric, store
 from .linalg import rank
 from .lyndon import format_lyndon_poly, radford_decompose_poly
-from .regularize import full_system, knt_system, reg
+from .regularize import full_system, reg
 from .words import (
     LinComb,
     format_comp,
@@ -100,7 +100,8 @@ def cmd_decompose(args) -> int:
 
 def cmd_knt(args) -> int:
     _check_degree(args, args.degree, 3)
-    r_knt = rank(knt_system(args.degree))
+    # the restricted rank is the weight's rule count, as `dims` prints it
+    r_knt = len(engine.echelonize_degree(args.degree, _cache(args)).rules)
     r_full = rank(full_system(args.degree))
     ok = r_knt == r_full
     if args.records:
@@ -271,20 +272,18 @@ def cmd_cache(args) -> int:
         _check_degree(args, args.degree)
         st = store.TableStore(root)
         st.wipe()
-        for n in range(2, args.degree + 1):
-            engine.echelonize_degree(n, st)
-        files = sorted(p.name for p in root.glob("degree-*.table"))
+        engine.echelonize_degree(args.degree, st)
+        paths = [st.path(n) for n in range(2, args.degree + 1)]
         # a failed write keeps a table in memory only, so look for the files
-        missing = sorted({f"degree-{n:02d}.table"
-                          for n in range(2, args.degree + 1)} - set(files))
+        missing = [p.name for p in paths if not p.is_file()]
         if missing:
             raise ValueError(f"missing table file(s) under {root}: "
                              + ", ".join(missing))
         if args.records:
-            for name in files:
-                print(f"table {name}")
+            for p in paths:
+                print(f"table {p.name}")
         else:
-            print(f"rebuilt {len(files)} table file(s) under {root}")
+            print(f"rebuilt {len(paths)} table file(s) under {root}")
         return 0
     raise ValueError("cache needs --rebuild or --path")
 

@@ -35,15 +35,20 @@ __all__ = [
 ]
 
 
+def _recurrence(seed: list[int], max_n: int) -> list[int]:
+    """x[0..max_n]: the four seed values, then x_n = x_{n-2} + x_{n-3}."""
+    x = list(seed)
+    for n in range(4, max_n + 1):
+        x.append(x[n - 2] + x[n - 3])
+    return x[:max_n + 1]
+
+
 def zagier_dims(max_n: int) -> list[int]:
     """d[n] for 0 <= n <= max_n; d_0 = 1 (empty product), d_1 = 0,
     d_2 = d_3 = 1, then d_n = d_{n-2} + d_{n-3}."""
     if max_n < 0:
         raise ValueError("max_n must be nonnegative")
-    d = [1, 0, 1, 1]
-    for n in range(4, max_n + 1):
-        d.append(d[n - 2] + d[n - 3])
-    return d[:max_n + 1]
+    return _recurrence([1, 0, 1, 1], max_n)
 
 
 @dataclass(frozen=True)
@@ -111,20 +116,13 @@ def mobius(n: int) -> int:
     return out
 
 
-def _padovan_like(max_l: int) -> list[int]:
-    # P_1 = 0, P_2 = 2, P_3 = 3, then P_l = P_{l-2} + P_{l-3}
-    P = [0, 0, 2, 3]
-    for l in range(4, max_l + 1):
-        P.append(P[l - 2] + P[l - 3])
-    return P[:max_l + 1]
-
-
 def n23_counts(max_p: int) -> list[int]:
     """N[p] for 1 <= p <= max_p (index 0 unused): Moebius inversion of the
     {2,3}-necklace weight count."""
     if max_p < 1:
         raise ValueError("max_p must be positive")
-    P = _padovan_like(max_p)
+    # P_1 = 0, P_2 = 2, P_3 = 3, then P_l = P_{l-2} + P_{l-3}
+    P = _recurrence([0, 0, 2, 3], max_p)
     out = [0]
     for p in range(1, max_p + 1):
         acc = sum(mobius(p // l) * P[l] for l in range(1, p + 1) if p % l == 0)

@@ -5,15 +5,16 @@ reduced row echelon form for a given column order with one modular kernel:
 
 1. Each row is scaled to integers and divided by its content.
 2. The integer rows are eliminated modulo a prime p in column order; within
-   a column the pivot is the eligible row with the fewest entries (ties:
-   lowest original row index).  Reduction is lazy: rows not yet chosen as
+   a column the pivot is, among the rows whose entry there is nonzero mod p,
+   the one with the fewest entries (ties: lowest original row index).  A
+   row whose entry is 0 mod p is not a candidate; its entry is dropped when
+   the column is eliminated.  Reduction is lazy: rows not yet chosen as
    pivots hold integer representatives of their residues, and a row update
    subtracts b * v without reducing.  The multiplier b is reduced once per
    row and pivot (a row with b = 0 mod p is left alone), and a row is
-   reduced in full, its zero residues dropped, when it is chosen as a pivot;
-   if its entry in the pivot column is then 0 mod p it goes back and the
-   choice is made again.  Pivot rows, back-substitution and the returned
-   echelon hold residues in [0, p) and no zeros.
+   reduced in full, its zero residues dropped, when it is chosen as a pivot.
+   Pivot rows, back-substitution and the returned echelon hold residues in
+   [0, p) and no zeros.
 3. Every entry is lifted to Q by Chinese remaindering over the primes used
    so far and Wang's rational reconstruction: a/b with |a|, b <= sqrt(M/2),
    M the product of those primes.
@@ -88,9 +89,8 @@ class SparseMatrix:
 
 
 class EchelonForm:
-    def __init__(self, n_cols: int, pivots: dict[int, int],
+    def __init__(self, pivots: dict[int, int],
                  rows: list[dict[int, Fraction]]):
-        self.n_cols = n_cols
         self.pivots = pivots
         self.rows = rows
 
@@ -148,30 +148,24 @@ def _eliminate(rows: list[dict[int, int]], col_order: Sequence[int],
                p: int) -> list[tuple[int, dict[int, int]]]:
     """RREF mod p: (pivot column, row without its pivot entry) in scan
     order; each row holds only free columns later in col_order, as nonzero
-    residues in [0, p).  Rows not yet chosen as pivots are reduced lazily
-    (module docstring, step 2)."""
+    residues in [0, p).  The pivot of a column is the shortest row whose
+    entry there is nonzero mod p; rows not yet chosen as pivots are reduced
+    lazily (module docstring, step 2)."""
     active = [dict(r) for r in rows if r]
 
     echelon: list[tuple[int, dict[int, int]]] = []
     for c in col_order:
         if not active:
             break
-        a = 0
-        while not a:
-            best = -1
-            best_len = 0
-            for i, row in enumerate(active):
-                if c in row and (best < 0 or len(row) < best_len):
-                    best, best_len = i, len(row)
-            if best < 0:
-                break
-            prow = {k: r for k, v in active.pop(best).items() if (r := v % p)}
-            a = prow.pop(c, 0)
-            if not a and prow:
-                active.insert(best, prow)   # c was 0 mod p: choose again
-        if not a:
+        best = -1
+        best_len = 0
+        for i, row in enumerate(active):
+            if c in row and (best < 0 or len(row) < best_len) and row[c] % p:
+                best, best_len = i, len(row)
+        if best < 0:
             continue
-        inv = pow(a, -1, p)
+        prow = {k: r for k, v in active.pop(best).items() if (r := v % p)}
+        inv = pow(prow.pop(c), -1, p)
         for k in prow:
             prow[k] = prow[k] * inv % p
         items = list(prow.items())
@@ -317,7 +311,7 @@ def rref(m: SparseMatrix, col_order: Sequence[int],
         row.update(lifted[c])
         pivots[c] = len(out)
         out.append(row)
-    return EchelonForm(m.n_cols, pivots, out)
+    return EchelonForm(pivots, out)
 
 
 def rank(m: SparseMatrix) -> int:

@@ -187,16 +187,13 @@ def radford_decompose_poly(p: LinComb) -> LinComb:
 
     The words still to rewrite carry integer numerators over one common
     denominator, raised only when a leading coefficient does not divide.
+
+    Each monomial's coefficient is written once, when its word is popped:
+    a word and its monomial (the sorted Chen-Fox-Lyndon factors) determine
+    each other, and a popped word never comes back, since every later step
+    only touches words smaller than the one it pops.
     """
     result: dict[LyndonMonomial, Fraction] = {}
-
-    def add(mono: LyndonMonomial, v: Fraction) -> None:
-        s = result.get(mono, 0) + v
-        if s:
-            result[mono] = s
-        else:
-            result.pop(mono, None)
-
     den = lcm(1, *(Fraction(c).denominator for _, c in p.items()))
     work = {w: int(c * den) for w, c in p.items()}
     # max-heap on (length, word): within a length, binary value is lex order
@@ -216,7 +213,7 @@ def radford_decompose_poly(p: LinComb) -> LinComb:
             c *= g
             for k in work:
                 work[k] *= g
-        add(mono, Fraction(c, den * lead))
+        result[mono] = Fraction(c, den * lead)
         q = c // lead
         for w2, c2 in monomial_expand(mono).items():
             if w2 == w:

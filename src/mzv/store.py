@@ -177,16 +177,20 @@ def _deserialize(text: str, preference: str) -> RewriteTable | None:
 
 class TableStore:
     """Memory-backed table cache with an optional directory behind it,
-    holding tables of one basis preference order (a key of PREFERENCES)."""
+    holding tables of one basis preference order (a key of PREFERENCES).
+    The file names do not carry the order, so a directory holds "depth"."""
 
     def __init__(self, root=None, preference: str = "depth"):
         if preference not in PREFERENCES:
             raise ValueError(f"unknown preference order {preference!r}")
+        if root is not None and preference != "depth":
+            raise ValueError(f"{preference!r} tables are kept in memory "
+                             "only; a cache directory holds the default order")
         self.root = Path(root) if root is not None else None
         self.preference = preference
         self._mem: dict[int, RewriteTable] = {}
 
-    def _path(self, degree: int) -> Path:
+    def path(self, degree: int) -> Path:
         return self.root / f"degree-{degree:02d}.table"
 
     def get(self, degree: int):
@@ -195,7 +199,7 @@ class TableStore:
             return hit
         if self.root is None:
             return None
-        path = self._path(degree)
+        path = self.path(degree)
         try:
             text = path.read_text()
         except (OSError, UnicodeDecodeError):
@@ -213,7 +217,7 @@ class TableStore:
         # a failed write is not fatal: the table stays in memory
         with suppress(OSError):
             self.root.mkdir(parents=True, exist_ok=True)
-            self._write(self._path(table.degree),
+            self._write(self.path(table.degree),
                         _serialize(table, self.preference))
 
     def wipe(self) -> None:

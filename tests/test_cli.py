@@ -105,6 +105,17 @@ def test_knt(capsys):
     assert code == 0 and "match" in out
 
 
+def test_knt_reads_and_caches_the_tables(capsys, tmp_path):
+    code, out, _ = run(capsys, "--cache-dir", str(tmp_path), "knt",
+                       "--degree", "6")
+    assert (code, out) == (
+        0, "degree 6: restricted rank 14, full rank 14 -> match\n")
+    names = sorted(p.name for p in tmp_path.glob("degree-*.table"))
+    assert names == [f"degree-0{n}.table" for n in range(2, 7)]
+    assert run(capsys, "--prefer", "lex", "knt", "--degree", "6") == \
+        (code, out, "")
+
+
 def test_dims(capsys):
     code, out, _ = run(capsys, "dims", "--max", "6")
     assert code == 0

@@ -193,6 +193,21 @@ def test_eliminate_matches_gauss_jordan_mod_p(case):
             [rows[c] for c in pivots]
 
 
+def test_eliminate_skips_a_shortest_row_that_vanishes_mod_p():
+    # the shortest row holding column 0 has 7 there, so mod 7 a longer row
+    # is the pivot; the last row vanishes mod 7 altogether
+    m = from_dense([[7, 1, 0, 0],
+                    [2, 3, 1, 0],
+                    [1, 4, 5, 2],
+                    [14, 0, 21, 0]], 4)
+    order = [0, 1, 2, 3]
+    echelon = _eliminate([dict(r) for r in m.rows], order, 7)
+    pivots, rows = rref_oracle(m, order, 7)
+    assert [c for c, _ in echelon] == pivots == [0, 1, 2]
+    assert [{c: 1, **row} for c, row in echelon] == \
+        [rows[c] for c in pivots]
+
+
 # ---------------------------------------------------------------------------
 # properties
 

@@ -62,6 +62,19 @@ def test_bound_honesty_at_high_precision():
         assert abs(nv.value - r) <= nv.abs_error_bound
 
 
+def test_a_huge_part_takes_no_powers():
+    # past the working precision every term m >= 2 rounds to 0, so a part
+    # of 10**20 returns at once with the value and bound of 10**5
+    big, small = mzv_numeric((10**20,)), mzv_numeric((10**5,))
+    assert (big.value, big.abs_error_bound) == \
+        (small.value, small.abs_error_bound)
+    # both sides of the cutoff, s = 154 at the default target
+    for s in (100, 152, 153, 154, 155, 200):
+        nv = mzv_numeric((s,))
+        with workdps(60):
+            assert abs(nv.value - zeta(s)) <= nv.abs_error_bound, s
+
+
 def test_refinement_is_monotone():
     prev = None
     target = mpf(1e-4)

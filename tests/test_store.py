@@ -87,6 +87,18 @@ def test_memory_only_store(tmp_path):
     assert not list(tmp_path.iterdir())
 
 
+def test_a_directory_holds_only_the_default_order(tmp_path):
+    # the file names do not carry the order, so a lex store on the same
+    # directory would overwrite the depth tables
+    build(tmp_path, 5)
+    before = (tmp_path / "degree-05.table").read_bytes()
+    with pytest.raises(ValueError, match="memory only"):
+        TableStore(tmp_path, preference="lex")
+    assert (tmp_path / "degree-05.table").read_bytes() == before
+    assert b"preference depth" in before
+    assert TableStore(tmp_path).get(5) is not None
+
+
 def test_corrupted_file_is_a_miss(tmp_path):
     build(tmp_path, 5)
     path = tmp_path / "degree-05.table"
