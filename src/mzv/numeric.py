@@ -202,13 +202,12 @@ def _compute(comp: Composition, dps: int, cal: int, em_order: int,
         e_next: dict = {0: {0: 1 << B}}
         slack = 0
         for s in reversed(comp):
-            if s >= (2 * max(w_next)).bit_length():
-                # m^s > 2 w_next[m-1] for m >= 2: those terms round to 0
-                w = [0] + [w_next[0]] * cal
-            else:
-                w = [0] * (cal + 1)
-                for m in range(1, cal + 1):
-                    w[m] = w[m - 1] + _rdiv(w_next[m - 1], m ** s)
+            # for m >= 2, m^e > 2 w_next[m-1] already rounds the term to 0,
+            # so a larger exponent changes nothing
+            e = min(s, (2 * max(w_next)).bit_length())
+            w = [0] * (cal + 1)
+            for m in range(1, cal + 1):
+                w[m] = w[m - 1] + _rdiv(w_next[m - 1], m ** e)
             # times n^-s, only orders up to amax - s of the shift survive
             g = _mul_npow(_shift(e_next, amax - s, B), s, amax)
             phi = _antideriv(g)
