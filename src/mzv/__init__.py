@@ -3,7 +3,9 @@
 The package keeps three concerns separate: exact linear algebra over the
 word algebras (words, regularize, linalg, engine), counting conjectures
 (conjectures), and floating-point evaluation (numeric).  Everything exact
-uses Fraction; mpmath appears only behind the numeric oracle.
+uses Fraction; mpmath appears only behind the numeric oracle, which loads on
+first use of mzv_numeric or identity_values, so importing the package or the
+command line does not import mpmath.
 """
 
 from .words import (
@@ -36,7 +38,6 @@ from .conjectures import (
     verify_zagier,
     zagier_dims,
 )
-from .numeric import identity_values, mzv_numeric
 from .store import TableStore
 
 __version__ = "0.1.0"
@@ -75,3 +76,11 @@ __all__ = [
     "TableStore",
     "__version__",
 ]
+
+
+def __getattr__(name):
+    # PEP 562: the numeric oracle, and with it mpmath, loads on first access
+    if name in ("identity_values", "mzv_numeric"):
+        from . import numeric
+        return getattr(numeric, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

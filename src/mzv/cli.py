@@ -13,9 +13,7 @@ import argparse
 import functools
 import sys
 
-from mpmath import mp
-
-from . import conjectures, engine, numeric, store
+from . import conjectures, engine, store
 from .linalg import rank
 from .lyndon import format_lyndon_poly, radford_decompose_poly
 from .regularize import full_system, reg
@@ -133,7 +131,11 @@ def cmd_dims(args) -> int:
 
 def cmd_verify(args) -> int:
     if args.mode != "symbolic":
-        # a usage error comes before any work or output
+        # mpmath loads only for a numeric check; a usage error comes before
+        # any work or output
+        from mpmath import mp
+
+        from . import numeric
         numeric.check_tolerance(args.tol)
     ident = _parse_identity(args.identity)
     weight = engine.identity_weight(ident)
@@ -227,6 +229,9 @@ def cmd_bk(args) -> int:
 
 
 def cmd_numeric(args) -> int:
+    from mpmath import mp
+
+    from . import numeric
     comp = parse_comp(args.comp)
     nv = numeric.mzv_numeric(comp, args.tol)
     digits = max(6, int(-mp.log(nv.abs_error_bound, 10)) - 1)

@@ -11,9 +11,9 @@ y-degree).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, gcd
+from typing import NamedTuple
 
 from .engine import echelonize_degree
 from .lyndon import lyndon_words
@@ -51,8 +51,7 @@ def zagier_dims(max_n: int) -> list[int]:
     return _recurrence([1, 0, 1, 1], max_n)
 
 
-@dataclass(frozen=True)
-class DimsRow:
+class DimsRow(NamedTuple):
     degree: int
     words: int
     rank: int
@@ -182,8 +181,7 @@ def _neg_log1p(u: LinComb, cap: int) -> LinComb:
     return acc
 
 
-@dataclass(frozen=True)
-class BkTable:
+class BkTable(NamedTuple):
     max_weight: int
     values: dict[tuple[int, int], int]
     violations: tuple[tuple[int, int, Fraction], ...]

@@ -51,9 +51,9 @@ from __future__ import annotations
 
 import functools
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from typing import NamedTuple
 
 from .linalg import SparseMatrix, rref
 from .lyndon import LyndonMonomial, lyndon_words, radford_decompose
@@ -128,8 +128,7 @@ def _preference_lex(w: Word):
 PREFERENCES = {"depth": preference_key, "lex": _preference_lex}
 
 
-@dataclass(frozen=True)
-class RewriteTable:
+class RewriteTable(NamedTuple):
     degree: int
     basis_words: tuple[Word, ...]          # preference order
     rules: dict[Word, LinComb]             # non-basis word -> basis combination
@@ -257,8 +256,7 @@ def express_in_generators(c: Composition, cache=None) -> LinComb:
 # ---------------------------------------------------------------------------
 # identities
 
-@dataclass(frozen=True)
-class Identity:
+class Identity(NamedTuple):
     """Both sides are linear combinations of monomials in zeta arguments
     (tuples of admissible compositions; the empty tuple is a constant)."""
     lhs: LinComb
@@ -297,8 +295,7 @@ def verify_identity(ident: Identity, cache=None):
 # ---------------------------------------------------------------------------
 # polynomial freeness
 
-@dataclass(frozen=True)
-class FreenessReport:
+class FreenessReport(NamedTuple):
     degree: int
     ok: bool
     new_generators: tuple[Word, ...]   # surviving single-Lyndon columns

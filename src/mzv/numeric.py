@@ -18,7 +18,7 @@ coefficient of an expansion {inverse_power: {log_power: c}} is a Python int
 X standing for X * 2^-B, with B the working precision mp.prec plus
 GUARD_BITS.  A product of two such numbers is (x * y) >> B, and division by
 a small integer rounds to the nearest.  The binomials of the shift, the
-multipliers -a and p of the derivative and the Euler-Maclaurin weights
+integer multipliers of the derivatives and the Euler-Maclaurin weights
 B_2r/(2r)! (from mp.bernfrac) enter as exact integers or fractions, with one
 rounding per product.  log(CAL) comes once from mp.log; the value and the
 bound turn into mpf only at the end.
@@ -44,8 +44,8 @@ references far more accurate than the targets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import ceil, comb, factorial
+from typing import NamedTuple
 
 from mpmath import mp
 
@@ -55,8 +55,7 @@ __all__ = ["NumericValue", "mzv_numeric", "numeric_check", "identity_values",
            "IdentityValues", "check_tolerance"]
 
 
-@dataclass(frozen=True)
-class NumericValue:
+class NumericValue(NamedTuple):
     comp: Composition
     value: object          # mpf
     abs_error_bound: object
@@ -168,6 +167,21 @@ def _deriv(E: dict) -> dict:
     return out
 
 
+def _deriv2(E: dict) -> dict:
+    """_deriv(_deriv(E)) in one pass: c n^-a log^p gives n^-(a+2) times
+    a(a+1) c log^p - p(2a+1) c log^(p-1) + p(p-1) c log^(p-2)."""
+    out: dict = {}
+    for a, d in E.items():
+        for p, c in d.items():
+            if a:
+                _term_add(out, a + 2, p, a * (a + 1) * c)
+            if p:
+                _term_add(out, a + 2, p - 1, -p * (2 * a + 1) * c)
+            if p > 1:
+                _term_add(out, a + 2, p - 2, p * (p - 1) * c)
+    return out
+
+
 def _eval(E: dict, cal: int, logs: list, B: int,
           absolute: bool = False) -> int:
     """E at n = cal, given logs[p] = log(cal)^p in fixed point."""
@@ -215,7 +229,7 @@ def _compute(comp: Composition, dps: int, cal: int, em_order: int,
             d = _deriv(g)
             for num, den in em[:em_order]:
                 _add_scaled(phi, d, num, den)
-                d = _deriv(_deriv(d))
+                d = _deriv2(d)
             # first omitted correction, taken at the calibration point
             num, den = em[em_order]
             slack += _rdiv(abs(num) * _eval(d, cal, logs, B, absolute=True),
@@ -282,8 +296,7 @@ def mzv_numeric(comp, target_abs_err=1e-10) -> NumericValue:
         f"could not reach target {target_abs_err} for {comp}")
 
 
-@dataclass(frozen=True)
-class IdentityValues:
+class IdentityValues(NamedTuple):
     lhs: object
     rhs: object
     diff: object

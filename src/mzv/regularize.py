@@ -11,9 +11,9 @@ reduces.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
+from typing import NamedTuple
 
 from .linalg import SparseMatrix
 from .words import (
@@ -44,8 +44,7 @@ __all__ = [
 KNT_W0_SET = ("1", "01", "001", "011")
 
 
-@dataclass(frozen=True)
-class X1Decomposition:
+class X1Decomposition(NamedTuple):
     """coefficients[i] is the H2 polynomial multiplying x1^(sh i)."""
     coefficients: tuple[LinComb, ...]
 

@@ -6,6 +6,7 @@ or parse errors.  An autouse fixture points the cache at a temp directory
 so runs never touch the working tree.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -393,6 +394,15 @@ def test_ceiling_can_be_moved(capsys):
     assert code == 2
 
 
+def _child(*args):
+    """A fresh interpreter on this checkout's mzv, with output captured."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, env=env)
+
+
 def test_repeated_calls_print_what_each_call_prints_alone(capsys):
     # main reuses one parser per process; no top-level flag of one call may
     # carry over to the next
@@ -404,19 +414,86 @@ def test_repeated_calls_print_what_each_call_prints_alone(capsys):
         ["--ceiling", "13", "rewrite", "2,3"],
         ["rewrite", "11,2"],
     ]
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")]))}
     alone = []
     for argv in calls:
-        proc = subprocess.run([sys.executable, "-m", "mzv.cli", *argv],
-                              capture_output=True, text=True, env=env)
+        proc = _child("-m", "mzv.cli", *argv)
         alone.append((proc.returncode, proc.stdout, proc.stderr))
     assert [run(capsys, *argv) for argv in calls] == alone
     assert alone[0][1] == "freeness 5 1 1 5\n"
     assert alone[2][1] == "degree 5: PASS, 1 new generator(s): (2,1,1,1)\n"
     assert alone[3][1] == "degree 5: PASS, 1 new generator(s): (5)\n"
     assert alone[5][0] == 2 and "exceeds the ceiling 12" in alone[5][2]
+
+
+# ---------------------------------------------------------------------------
+# start-up: only the numeric oracle loads mpmath
+
+# runs each argv of the JSON list in sys.argv[1] through cli.main, then
+# prints which heavy modules are loaded, first after the import alone
+_PROBE = """
+import json, sys
+from mzv import cli
+def loaded():
+    return [m for m in ("mpmath", "dataclasses", "inspect")
+            if m in sys.modules]
+seen = [[None, loaded()]]
+for argv in json.loads(sys.argv[1]):
+    seen.append([cli.main(argv), loaded()])
+print(json.dumps(seen))
+"""
+
+IDENTITY = "z(2,3) = 9/2*z(5) - 2*z(2)*z(3)"
+
+
+def _probe(tmp_path, *calls):
+    proc = _child("-c", _PROBE, json.dumps(
+        [["--cache-dir", str(tmp_path), *argv] for argv in calls]))
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_only_the_numeric_oracle_loads_mpmath(tmp_path):
+    seen = _probe(tmp_path,
+                  ["cache", "--rebuild", "--degree", "5"],
+                  ["rewrite", "2,3"],
+                  ["verify", IDENTITY, "--mode", "symbolic"],
+                  ["dims", "--max", "5"],
+                  ["freeness", "--degree", "5"],
+                  ["n23", "--max", "6"],
+                  ["bk", "--max-weight", "8"],
+                  ["numeric", "--comp", "2"])
+    assert seen == [[None, []]] + [[0, []]] * 7 + [[0, ["mpmath"]]]
+    # the default mode checks numerically after the symbolic check
+    assert _probe(tmp_path, ["verify", IDENTITY]) == \
+        [[None, []], [0, ["mpmath"]]]
+
+
+def test_bad_tolerance_in_a_fresh_process_prints_only_the_error():
+    # the default mode checks the tolerance, importing mpmath to do so,
+    # before the symbolic check can print its verdict
+    proc = _child("-m", "mzv.cli", "verify", IDENTITY, "--tol", "nan")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        2, "", "error: tolerance must be finite and positive, got nan\n")
+
+
+def test_package_exports_the_numeric_oracle_on_demand():
+    proc = _child("-c", """
+import sys
+import mzv
+assert "mpmath" not in sys.modules
+from mzv import identity_values, mzv_numeric
+assert mzv_numeric is mzv.numeric.mzv_numeric
+assert identity_values is mzv.numeric.identity_values
+ns = {}
+exec("from mzv import *", ns)
+assert set(mzv.__all__) <= set(ns), set(mzv.__all__) - set(ns)
+assert ns["mzv_numeric"]((2,), 1e-6).value > 1.64
+try:
+    mzv.no_such_name
+except AttributeError:
+    print("ok")
+""")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "ok\n", "")
 
 
 def test_ceiling_hard_maximum():

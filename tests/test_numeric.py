@@ -11,6 +11,8 @@ from math import ceil, log10
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 from mpmath import mp, mpf, pi, zeta, workdps
 
 from mzv import numeric
@@ -199,3 +201,19 @@ def test_result_recordkeeping():
     nv = mzv_numeric((2, 3), 1e-8)
     assert nv.comp == (2, 3)
     assert nv.abs_error_bound > 0
+
+
+# {inverse_power: {log_power: coefficient}}; small coefficients make terms
+# from different sources cancel often
+_EXPANSION = st.dictionaries(
+    st.integers(0, 8),
+    st.dictionaries(st.integers(0, 5), st.integers(-6, 6).filter(bool),
+                    min_size=1),
+    max_size=5)
+
+
+@given(_EXPANSION)
+@example({1: {0: 3, 1: 2}})     # the n^-3 terms cancel: 2*3 - 1*3*2 = 0
+@example({0: {0: 5}})           # a constant has no derivative
+def test_second_derivative_in_one_pass(E):
+    assert numeric._deriv2(E) == numeric._deriv(numeric._deriv(E))
