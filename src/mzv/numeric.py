@@ -14,8 +14,8 @@ with index 1 diverge logarithmically; their models simply carry log powers,
 which the next level damps again (the leading index is at least 2).
 
 All of this runs in fixed point.  Every partial sum W(m) and every
-coefficient of an expansion {inverse_power: {log_power: c}} is a Python int
-X standing for X * 2^-B, with B the working precision mp.prec plus
+coefficient c of an expansion {(a, p): c}, the term c n^-a log(n)^p, is a
+Python int X standing for X * 2^-B, with B the working precision mp.prec plus
 GUARD_BITS.  A product of two such numbers is (x * y) >> B, and division by
 a small integer rounds to the nearest.  The binomials of the shift, the
 integer multipliers of the derivatives and the Euler-Maclaurin weights
@@ -61,7 +61,8 @@ class NumericValue(NamedTuple):
     abs_error_bound: object
 
 
-# expansion: {inverse_power: {log_power: fixed-point int coefficient}}
+# expansion: {(inverse_power, log_power): fixed-point int coefficient}, with
+# no zero coefficients
 
 GUARD_BITS = 16
 
@@ -73,22 +74,17 @@ def _rdiv(x: int, d: int) -> int:
     return (2 * x + d) // (2 * d)
 
 
-def _term_add(E: dict, a: int, p: int, c: int) -> None:
-    d = E.setdefault(a, {})
-    s = d.get(p, 0) + c
-    if s:
-        d[p] = s
-    elif p in d:
-        del d[p]
-    if not d:
-        del E[a]
+def _add(E: dict, key: tuple, c: int) -> None:
+    if s := E.get(key, 0) + c:
+        E[key] = s
+    else:
+        E.pop(key, None)
 
 
 def _add_scaled(E: dict, other: dict, num: int, den: int) -> None:
     """E += other * num / den."""
-    for a, d in other.items():
-        for p, c in d.items():
-            _term_add(E, a, p, _rdiv(c * num, den))
+    for key, c in other.items():
+        _add(E, key, _rdiv(c * num, den))
 
 
 def _s_powers(amax: int, qmax: int, B: int) -> list[dict]:
@@ -111,59 +107,49 @@ def _shift(E: dict, amax: int, B: int) -> dict:
     """Re-expand E(n-1) around n, truncated at n^-amax."""
     if not E:
         return {}
-    spow = _s_powers(amax, max(max(d) for d in E.values()), B)
+    spow = _s_powers(amax, max(p for _, p in E), B)
     wide: dict = {}         # (a, p) -> coefficient times 2^B
-    for a, d in E.items():
+    for (a, p), coeff in E.items():
         # (1 - 1/n)^(-a) coefficients
         binom = [comb(a + b - 1, b) for b in range(amax - a + 1)] \
             if a else [1]
-        for p, coeff in d.items():
-            for q in range(p + 1):
-                cpq = coeff * comb(p, q)
-                for cdeg, sc in spow[q].items():
-                    a1 = a + cdeg
-                    if a1 > amax:
-                        break
-                    base = cpq * sc
-                    for b in range(min(len(binom), amax - a1 + 1)):
-                        key = (a1 + b, p - q)
-                        wide[key] = wide.get(key, 0) + base * binom[b]
-    out: dict = {}
-    for (a, p), c in wide.items():
-        _term_add(out, a, p, c >> B)
-    return out
-
-
-def _mul_npow(E: dict, s: int, amax: int) -> dict:
-    return {a + s: dict(d) for a, d in E.items() if a + s <= amax}
+        for q in range(p + 1):
+            cpq = coeff * comb(p, q)
+            for cdeg, sc in spow[q].items():
+                a1 = a + cdeg
+                if a1 > amax:
+                    break
+                base = cpq * sc
+                for b in range(min(len(binom), amax - a1 + 1)):
+                    key = (a1 + b, p - q)
+                    wide[key] = wide.get(key, 0) + base * binom[b]
+    return {key: c >> B for key, c in wide.items() if c >> B}
 
 
 def _antideriv(E: dict) -> dict:
     out: dict = {}
-    for a, d in E.items():
+    for (a, p), c in E.items():
         if a == 0:
             raise ArithmeticError("non-decaying term cannot be integrated")
-        for p, c in d.items():
-            if a == 1:
-                _term_add(out, 0, p + 1, _rdiv(c, p + 1))
-            else:
-                # n^(1-a) log^pp term: c (-1)^(p-pp) p!/pp! / (1-a)^(p-pp+1)
-                num, den = c, 1 - a
-                for pp in range(p, -1, -1):
-                    _term_add(out, a - 1, pp, _rdiv(num, den))
-                    num *= -pp
-                    den *= 1 - a
+        if a == 1:
+            _add(out, (0, p + 1), _rdiv(c, p + 1))
+        else:
+            # n^(1-a) log^pp term: c (-1)^(p-pp) p!/pp! / (1-a)^(p-pp+1)
+            num, den = c, 1 - a
+            for pp in range(p, -1, -1):
+                _add(out, (a - 1, pp), _rdiv(num, den))
+                num *= -pp
+                den *= 1 - a
     return out
 
 
 def _deriv(E: dict) -> dict:
     out: dict = {}
-    for a, d in E.items():
-        for p, c in d.items():
-            if a:
-                _term_add(out, a + 1, p, -a * c)
-            if p:
-                _term_add(out, a + 1, p - 1, p * c)
+    for (a, p), c in E.items():
+        if a:
+            _add(out, (a + 1, p), -a * c)
+        if p:
+            _add(out, (a + 1, p - 1), p * c)
     return out
 
 
@@ -171,14 +157,13 @@ def _deriv2(E: dict) -> dict:
     """_deriv(_deriv(E)) in one pass: c n^-a log^p gives n^-(a+2) times
     a(a+1) c log^p - p(2a+1) c log^(p-1) + p(p-1) c log^(p-2)."""
     out: dict = {}
-    for a, d in E.items():
-        for p, c in d.items():
-            if a:
-                _term_add(out, a + 2, p, a * (a + 1) * c)
-            if p:
-                _term_add(out, a + 2, p - 1, -p * (2 * a + 1) * c)
-            if p > 1:
-                _term_add(out, a + 2, p - 2, p * (p - 1) * c)
+    for (a, p), c in E.items():
+        if a:
+            _add(out, (a + 2, p), a * (a + 1) * c)
+        if p:
+            _add(out, (a + 2, p - 1), -p * (2 * a + 1) * c)
+        if p > 1:
+            _add(out, (a + 2, p - 2), p * (p - 1) * c)
     return out
 
 
@@ -187,14 +172,11 @@ def _eval(E: dict, cal: int, logs: list, B: int,
     """E at n = cal, given logs[p] = log(cal)^p in fixed point."""
     if not E:
         return 0
-    top = max(E)
+    top = max(a for a, _ in E)
     total = 0
-    for a, d in E.items():
-        t = 0
-        for p, c in d.items():
-            x = c * logs[p]
-            t += abs(x) if absolute else x
-        total += t * cal ** (top - a)
+    for (a, p), c in E.items():
+        x = c * logs[p]
+        total += (abs(x) if absolute else x) * cal ** (top - a)
     return _rdiv(total, cal ** top << B)
 
 
@@ -213,7 +195,7 @@ def _compute(comp: Composition, dps: int, cal: int, em_order: int,
             num, den = mp.bernfrac(2 * r)
             em.append((int(num), int(den) * factorial(2 * r)))
         w_next = [1 << B] * (cal + 1)
-        e_next: dict = {0: {0: 1 << B}}
+        e_next: dict = {(0, 0): 1 << B}
         slack = 0
         for s in reversed(comp):
             # for m >= 2, m^e > 2 w_next[m-1] already rounds the term to 0,
@@ -223,7 +205,8 @@ def _compute(comp: Composition, dps: int, cal: int, em_order: int,
             for m in range(1, cal + 1):
                 w[m] = w[m - 1] + _rdiv(w_next[m - 1], m ** e)
             # times n^-s, only orders up to amax - s of the shift survive
-            g = _mul_npow(_shift(e_next, amax - s, B), s, amax)
+            g = {(a + s, p): c
+                 for (a, p), c in _shift(e_next, amax - s, B).items()}
             phi = _antideriv(g)
             _add_scaled(phi, g, 1, 2)
             d = _deriv(g)
@@ -235,12 +218,12 @@ def _compute(comp: Composition, dps: int, cal: int, em_order: int,
             slack += _rdiv(abs(num) * _eval(d, cal, logs, B, absolute=True),
                            den)
             const = w[cal] - _eval(phi, cal, logs, B)
-            _term_add(phi, 0, 0, const)
+            _add(phi, (0, 0), const)
             # magnitude of the last kept expansion order
-            tail_band = {amax: phi[amax]} if amax in phi else {}
+            tail_band = {k: c for k, c in phi.items() if k[0] == amax}
             slack += _eval(tail_band, cal, logs, B, absolute=True)
             w_next, e_next = w, phi
-        value = mp.ldexp(e_next.get(0, {}).get(0, 0), -B)
+        value = mp.ldexp(e_next.get((0, 0), 0), -B)
         bound = 8 * mp.ldexp(slack, -B) + \
             mp.mpf(10) ** (8 - dps) * (1 + abs(value))
         return value, bound
@@ -288,9 +271,7 @@ def mzv_numeric(comp, target_abs_err=1e-10) -> NumericValue:
     for attempt in range(4):
         value, bound = _compute(comp, *_params(digits + 6 * attempt))
         if bound <= target:
-            out = NumericValue(comp, value, bound)
-            if hit is None or bound < hit.abs_error_bound:
-                _value_cache[comp] = out
+            _value_cache[comp] = out = NumericValue(comp, value, bound)
             return out
     raise ArithmeticError(
         f"could not reach target {target_abs_err} for {comp}")
@@ -322,7 +303,9 @@ def identity_values(ident, tol=1e-6) -> IdentityValues:
                 # all admissible values lie below 2, so a factor-of-2 chain
                 # bounds the product sensitivity to per-factor error
                 budget += abs(c) * nf * 2 ** (nf - 1)
-    tau = (tol / 2) / max(float(budget), 1.0)
+    # rounded like float(budget), but in mpf, which does not overflow
+    tau = (tol / 2) / max(mp.fdiv(budget.numerator, budget.denominator,
+                                  prec=53), 1)
     sides = []
     with mp.workdps(max(15, int(mp.ceil(-mp.log10(tol))) + 10)):
         err = mp.mpf(0)

@@ -210,6 +210,19 @@ def test_verify_numeric_resolves_tiny_differences(capsys):
     assert "numeric: FAIL  |lhs - rhs| = 1.202e-20 > 1.0e-30" in out
 
 
+def test_verify_numeric_takes_coefficients_beyond_float_range(capsys,
+                                                             monkeypatch):
+    # the error budget scales with the coefficients, here far above 1.8e308;
+    # z(2) comes out to 400 digits, which stays out of the shared cache
+    monkeypatch.setattr(numeric, "_value_cache", {})
+    big = "9" * 400
+    assert run(capsys, "verify", f"{big}*z(2) = {big}*z(2)") == (
+        0, "symbolic: PASS\nnumeric: PASS  |lhs - rhs| = 0.0 <= 1.0e-6\n",
+        "")
+    assert run(capsys, "verify", "--mode", "numeric", f"z(2) = {big}*z(2)") \
+        == (1, "numeric: FAIL  |lhs - rhs| = 1.645e+400 > 1.0e-6\n", "")
+
+
 def test_verify_numeric_failure_within_tol_counts_the_error(capsys,
                                                             monkeypatch):
     # the sides differ by 1e-6*z(3); each factor comes back off by its full
@@ -325,6 +338,28 @@ NUMERIC_STDOUT = [
     ("2,1,1,1,1,1", "1e-15",
      "z(2,1,1,1,1,1) = 1.00834927738192282683979754985 ± 2.19e-32\n",
      "numeric 2,1,1,1,1,1 1.00834927738192282683979754985 2.19e-32\n"),
+    # the series at dps 118, cal 1020, amax 78
+    ("2,1,2", "1e-100",
+     "z(2,1,2) = "
+     "0.7115661975505724320969738060864026120925612044383392364922"
+     "22496457686085745058265115425234463600798964102965 ± 1.71e-110\n",
+     "numeric 2,1,2 "
+     "0.7115661975505724320969738060864026120925612044383392364922"
+     "22496457686085745058265115425234463600798964102965 1.71e-110\n"),
+    ("3,1,2", "1e-100",
+     "z(3,1,2) = "
+     "0.0792213975652071659990328100778010916742438485100519378715"
+     "012234950244530447925382085028868364889472644686636 ± 1.08e-110\n",
+     "numeric 3,1,2 "
+     "0.0792213975652071659990328100778010916742438485100519378715"
+     "012234950244530447925382085028868364889472644686636 1.08e-110\n"),
+    ("2,1,1,1,2", "1e-100",
+     "z(2,1,1,1,2) = "
+     "0.6587533875711093581412522186346254271044356998380703541143"
+     "38479461207811236216454435465656617420951550569802 ± 1.66e-110\n",
+     "numeric 2,1,1,1,2 "
+     "0.6587533875711093581412522186346254271044356998380703541143"
+     "38479461207811236216454435465656617420951550569802 1.66e-110\n"),
 ]
 
 
