@@ -33,8 +33,8 @@ admissible index into a polynomial in the generators, which is the normal
 form used to verify identities.
 
 The freeness check takes one row per rule of the weight-n table: u - sum
-c_b b for the rule u -> sum c_b b.  Each word goes through the per-word
-Radford map phi (lyndon.radford_decompose, memoized) into Lyndon-monomial
+c_b b for the rule u -> sum c_b b.  Each row goes through the Radford map
+phi (lyndon.radford_decompose_poly, one cascade per row) into Lyndon-monomial
 variables; every product monomial is then substituted through the
 lower-weight generator expressions, once per distinct monomial; and the rows
 are echelonized scanning the single-Lyndon-word columns first.  The criterion
@@ -56,7 +56,7 @@ from math import lcm
 from typing import NamedTuple
 
 from .linalg import SparseMatrix, rref
-from .lyndon import LyndonMonomial, lyndon_words, radford_decompose
+from .lyndon import LyndonMonomial, lyndon_words, radford_decompose_poly
 from .regularize import knt_system
 from .words import (
     Composition,
@@ -333,11 +333,11 @@ def check_polynomial_freeness(n: int, cache=None) -> FreenessReport:
         den = lcm(*(Fraction(v).denominator for _, v in gp.items()))
         return {("p", g): int(v * den) for g, v in gp.items()}, den
 
-    # one row per rule u -> sum c_b b: phi(u) - sum c_b phi(b), substituted
+    # one row per rule u -> sum c_b b: phi(u - sum c_b b), substituted
     # and scaled to integers (a scale does not change the row space)
     sub_rows = []
     for u, r in table.rules.items():
-        lp = radford_decompose(u) - r.map_linear(radford_decompose)
+        lp = radford_decompose_poly(LinComb.term(u) - r)
         terms = [(c, *substitute(mono)) for mono, c in lp.items()]
         den = lcm(*(c.denominator * d for c, _, d in terms))
         row: dict = {}

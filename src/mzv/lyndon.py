@@ -10,12 +10,9 @@ words (multisets).
 The decomposition is computed by triangular elimination: the shuffle
 expansion of the monomial built from a word's Chen-Fox-Lyndon factors has
 that word as its lexicographically largest term, with coefficient equal to
-the product of the factor multiplicities' factorials.  The right-residual
-derivation machinery is included as well; it is an alternative route to the
-same decomposition, exercised by the test suite (Leibniz rule) and by
-acceptance criterion 09.  The engine's freeness check runs on the per-word
-map radford_decompose, whose results stay in a memo for the life of the
-process; the cascade inside radford_decompose_poly never reads that memo.
+the product of the factor multiplicities' factorials.  The bracketed forms
+and right residuals are kept for the test suite (the Leibniz rule) and
+acceptance criterion 09; no module under src calls them.
 """
 
 from __future__ import annotations
@@ -140,7 +137,6 @@ def residual_derivation(p: LinComb, l: Word) -> LinComb:
 # Radford decomposition
 
 _expand_memo: dict[LyndonMonomial, LinComb] = {}
-_radford_memo: dict[Word, LinComb] = {}
 
 
 def monomial_expand(mono: LyndonMonomial) -> LinComb:
@@ -183,7 +179,6 @@ def radford_decompose_poly(p: LinComb) -> LinComb:
     tuple is the constant term.  Triangular rewriting on the current leading
     word (lexicographically largest, '0' < '1'); each step replaces it by
     strictly smaller words of the same length, so the loop terminates.
-    Every word is rewritten here: the per-word memo is not read.
 
     The words still to rewrite carry integer numerators over one common
     denominator, raised only when a leading coefficient does not divide.
@@ -230,12 +225,8 @@ def radford_decompose_poly(p: LinComb) -> LinComb:
 
 
 def radford_decompose(w: Word) -> LinComb:
-    """Decomposition of a single word; memoized, heavily reused."""
-    hit = _radford_memo.get(w)
-    if hit is None:
-        hit = radford_decompose_poly(word_poly(w))
-        _radford_memo[w] = hit
-    return hit
+    """Decomposition of a single word."""
+    return radford_decompose_poly(word_poly(w))
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
-from mzv import cli, numeric
+from mzv import cli, engine, numeric
 
 
 @pytest.fixture(autouse=True)
@@ -176,6 +176,17 @@ def test_bk_records_to_weight_30_are_pinned(capsys):
 def test_freeness(capsys):
     code, out, _ = run(capsys, "freeness", "--degree", "5")
     assert code == 0 and "PASS" in out and "(5)" in out
+
+
+def test_freeness_failure_names_the_product_pivots(capsys, monkeypatch):
+    failed = engine.FreenessReport(5, False, ("00001",), (((2,), (3,)),))
+    monkeypatch.setattr(engine, "check_polynomial_freeness",
+                        lambda n, cache=None: failed)
+    assert run(capsys, "freeness", "--degree", "5") == (
+        1, "degree 5: FAIL, 1 new generator(s): (5)\n"
+           "pivots on product columns: z(2)*z(3)\n", "")
+    assert run(capsys, "--records", "freeness", "--degree", "5") == (
+        1, "freeness 5 0 1 5\n", "")
 
 
 # ---------------------------------------------------------------------------

@@ -46,7 +46,8 @@ REFERENCES = {
 }
 
 
-def test_values_against_closed_forms():
+def test_values_against_closed_forms(monkeypatch):
+    monkeypatch.setattr(numeric, "_value_cache", {})
     for comp, make in REFERENCES.items():
         r = ref(make)
         for target in (1e-6, 1e-10, 1e-14):
@@ -55,7 +56,8 @@ def test_values_against_closed_forms():
             assert abs(nv.value - r) <= nv.abs_error_bound, (comp, target)
 
 
-def test_bound_honesty_at_high_precision():
+def test_bound_honesty_at_high_precision(monkeypatch):
+    monkeypatch.setattr(numeric, "_value_cache", {})
     for s in (2, 4, 6, 8):
         with workdps(60):
             r = mpf(euler_even_zeta(s).numerator) \
