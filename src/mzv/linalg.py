@@ -37,16 +37,15 @@ certificate above, run against the raw rows, holds unchanged.  Only the
 final echelon is lifted and certified.
 
 When reconstruction or the certificate fails, the next prime of a fixed
-sequence is added: the Mersenne primes 2^89 - 1, 2^107 - 1 and 2^127 - 1,
-then 2^61 - 1 and the primes below it in decreasing order.  A residue below
-2^89 takes three 30-bit digits of a CPython int, as one below 2^61 does, and
-one 89-bit prime lifts a/b with |a|, b up to 2^44: the RREFs of the
-relation systems through weight 14 need one pass (the largest numerator at
-weight 14 is 0.61 of that bound).  The Mersenne primes are known primes;
-`_is_prime`, exact only below about 2^81, is asked only about numbers below
-2^61.  A prime whose pivot set is worse (lower rank, or later pivots in the
-column order) is unlucky and dropped; one with a better pivot set replaces
-those gathered so far.  Unlucky primes are finitely many, so the loop ends.
+sequence is added: the Mersenne primes 2^e - 1 for the exponents e of
+`_MERSENNE_EXPONENTS` (OEIS A000043 from 89), all known primes.  One
+89-bit prime lifts a/b with |a|, b up to 2^44: the RREFs of the relation
+systems through weight 14 need one pass (the largest numerator at weight 14
+is 0.61 of that bound).  The product of all of them lifts coefficients of
+about 80,000 bits; should it not suffice, `rref` raises ArithmeticError.  A
+prime whose pivot set is worse (lower rank, or later pivots in the column
+order) is unlucky and dropped; one with a better pivot set replaces those
+gathered so far.
 
 `rank` is the pivot count of `rref` in reversed column order.
 """
@@ -112,36 +111,13 @@ def _to_int_row(row: Mapping[int, object]) -> dict[int, int]:
     return ints if g == 1 else {c: v // g for c, v in ints.items()}
 
 
-def _is_prime(n: int) -> bool:
-    """Miller-Rabin for odd n > 37 with the first twelve prime bases, which
-    is exact below 3.3e24."""
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for b in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        x = pow(b, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
+_MERSENNE_EXPONENTS = (89, 107, 127, 521, 607, 1279, 2203, 2281, 3217, 4253,
+                       4423, 9689, 9941, 11213, 19937, 21701, 23209, 44497)
 
 
 def _primes() -> Iterator[int]:
-    """The Mersenne primes 2^89 - 1, 2^107 - 1 and 2^127 - 1, then 2^61 - 1
-    and the primes below it in decreasing order."""
-    yield from ((1 << 89) - 1, (1 << 107) - 1, (1 << 127) - 1)
-    n = (1 << 61) - 1
-    yield n
-    while True:
-        n -= 2
-        if _is_prime(n):
-            yield n
+    """The Mersenne primes 2^e - 1 for e in _MERSENNE_EXPONENTS, in order."""
+    return ((1 << e) - 1 for e in _MERSENNE_EXPONENTS)
 
 
 def _eliminate(rows: list[dict[int, int]], col_order: Sequence[int],
@@ -303,6 +279,8 @@ def rref(m: SparseMatrix, col_order: Sequence[int],
         lifted = _lift(tails, modulus)
         if lifted is not None and _certify(rows, lifted, pos):
             break
+    else:
+        raise ArithmeticError("no lift certified with the known primes")
 
     pivots: dict[int, int] = {}
     out: list[dict[int, Fraction]] = []

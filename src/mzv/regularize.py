@@ -121,16 +121,8 @@ def double_shuffle_relation(w1: Word, w0: Word) -> LinComb:
 def _rows_to_matrix(n: int, rows: list[LinComb]) -> SparseMatrix:
     cols = h2_words(n)
     index = {w: i for i, w in enumerate(cols)}
-    m = SparseMatrix(len(cols), cols)
-    seen = set()
-    for r in rows:
-        row = {index[w]: c for w, c in r.items()}
-        key = tuple(sorted(row.items()))
-        if key in seen:
-            continue
-        seen.add(key)
-        m.add_row(row)
-    return m
+    return SparseMatrix(len(cols), cols,
+                        ({index[w]: c for w, c in r.items()} for r in rows))
 
 
 def knt_system(n: int) -> SparseMatrix:

@@ -138,6 +138,26 @@ def test_n23(capsys):
     assert "(2,2,2,3)" in out
 
 
+# stdout and exit code of `--records` reports, as recorded; a record with
+# no words keeps the space before its empty word list
+RECORDS_STDOUT = [
+    (["knt", "--degree", "5"], 0, "knt 5 6 6 1\n"),
+    (["verify", "--mode", "symbolic", "z(2,1)=z(3)"], 0, "symbolic 1\n"),
+    (["verify", "--mode", "symbolic", "z(2,1)=2*z(3)"], 1, "symbolic 0\n"),
+    (["n23", "--max", "9"], 0,
+     "n23 2 1 2\nn23 3 1 3\nn23 4 0 \nn23 5 1 2,3\nn23 6 0 \n"
+     "n23 7 1 2,2,3\nn23 8 1 2,3,3\nn23 9 1 2,2,2,3\n"),
+    (["cache", "--rebuild", "--degree", "4"], 0,
+     "table degree-02.table\ntable degree-03.table\n"
+     "table degree-04.table\n"),
+]
+
+
+@pytest.mark.parametrize("argv,code,records", RECORDS_STDOUT)
+def test_records_stdout_is_pinned(capsys, argv, code, records):
+    assert run(capsys, "--records", *argv) == (code, records, "")
+
+
 def test_bk_annotates_weight_two(capsys):
     code, out, _ = run(capsys, "bk", "--max-weight", "9")
     assert code == 0
@@ -267,6 +287,11 @@ def test_bad_tolerance_is_usage_error(capsys, argv, tol):
     code, out, err = run(capsys, *argv, "--tol", tol)
     assert code == 2 and err.startswith("error:")
     assert out == "" and "Traceback" not in err
+
+
+def test_verify_without_one_equals_sign_is_usage_error(capsys):
+    assert run(capsys, "verify", "z(2)") == (
+        2, "", "error: an identity needs exactly one '='\n")
 
 
 def test_verify_mixed_weight_is_usage_error(capsys):

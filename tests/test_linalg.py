@@ -7,12 +7,13 @@ modular kernel needs several primes.
 """
 
 from fractions import Fraction
-from itertools import combinations, islice
+from itertools import combinations
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from mzv import linalg
 from mzv.linalg import SparseMatrix, _eliminate, _primes, rank, rref
 
 
@@ -162,10 +163,18 @@ def test_exact_cancellation_leaves_a_multiple_of_p():
 
 
 def test_prime_sequence():
-    ps = list(islice(_primes(), 6))
-    assert ps[:4] == [2**89 - 1, 2**107 - 1, 2**127 - 1, 2**61 - 1]
-    assert ps[3] > ps[4] > ps[5]
-    assert all(pow(2, q - 1, q) == 1 for q in ps)
+    ps = list(_primes())
+    assert ps[:3] == [2**89 - 1, 2**107 - 1, 2**127 - 1]
+    assert all(q == 2**e - 1 for q, e in zip(ps, linalg._MERSENNE_EXPONENTS))
+    assert len(ps) == len(linalg._MERSENNE_EXPONENTS)
+    assert all(a < b for a, b in zip(ps, ps[1:]))
+
+
+def test_rref_raises_when_the_primes_run_out(monkeypatch):
+    # one 89-bit prime lifts a/b with |a|, b <= 2^44 only
+    monkeypatch.setattr(linalg, "_MERSENNE_EXPONENTS", (89,))
+    with pytest.raises(ArithmeticError):
+        rref(SparseMatrix(2, rows=[{0: 2**50, 1: 1}]), [0, 1])
 
 
 int_rows_st = st.integers(1, 5).flatmap(

@@ -124,6 +124,8 @@ def test_stale_engine_version_is_a_miss(tmp_path):
 
 
 @pytest.mark.parametrize("index, line", [
+    # another format version
+    (0, "mzv-table 2"),
     (2, "degree"),
     (3, "preference foo"),
     # a known order, but not the store's
@@ -143,6 +145,8 @@ def test_stale_engine_version_is_a_miss(tmp_path):
     # a word with neither a rule nor a basis entry
     (6, "rule 011 = 011"),
     (6, "gen 001 := z(3)"),
+    # a body line that is neither a rule nor a generator
+    (6, "note 011"),
 ])
 def test_malformed_body_is_discarded_and_rebuilt(tmp_path, capsys,
                                                  index, line):
