@@ -66,7 +66,6 @@ from .words import (
     comp_to_word,
     comp_weight,
     format_comp,
-    in_h2,
     is_admissible,
     stuffle,
     word_to_comp,
@@ -191,8 +190,6 @@ def echelonize_degree(n: int, cache=None) -> RewriteTable:
     hit = cache.get(n)
     if hit is not None:
         return hit
-    if n < 2:
-        raise ValueError("weight must be at least 2")
     key = PREFERENCES[cache.preference]
     for m in range(2, n):
         echelonize_degree(m, cache)
@@ -314,7 +311,7 @@ def check_polynomial_freeness(n: int, cache=None) -> FreenessReport:
     cache = _resolve(cache)
     table = echelonize_degree(n, cache)
     key = PREFERENCES[cache.preference]
-    singles = [l for l in lyndon_words(n) if in_h2(l)]
+    singles = lyndon_words(n)
 
     @functools.cache
     def factor(l: Word) -> LinComb:

@@ -263,18 +263,14 @@ def rref(m: SparseMatrix, col_order: Sequence[int],
         if key != best_key:
             best_key, modulus = key, 1
             tails = {c: {} for c, _ in echelon}
-        # Garner step: combine residues mod modulus with residues mod p
+        # Garner step: combine residues mod modulus with residues mod p; no
+        # side stores a zero, so x, nonzero mod modulus or mod p, is never 0
         minv = pow(modulus, -1, p)
         for c, row in echelon:
             old = tails[c]
             for k in set(old) | set(row):
                 x = old.get(k, 0)
-                t = (row.get(k, 0) - x) * minv % p
-                x += modulus * t
-                if x:
-                    old[k] = x
-                else:
-                    old.pop(k, None)
+                old[k] = x + modulus * ((row.get(k, 0) - x) * minv % p)
         modulus *= p
         lifted = _lift(tails, modulus)
         if lifted is not None and _certify(rows, lifted, pos):

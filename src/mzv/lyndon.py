@@ -147,10 +147,7 @@ def monomial_expand(mono: LyndonMonomial) -> LinComb:
     hit = _expand_memo.get(mono)
     if hit is not None:
         return hit
-    if len(mono) == 1:
-        r = word_poly(mono[0])
-    else:
-        r = shuffle(monomial_expand(mono[:-1]), word_poly(mono[-1]))
+    r = shuffle(monomial_expand(mono[:-1]), word_poly(mono[-1]))
     _expand_memo[mono] = r
     return r
 

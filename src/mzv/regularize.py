@@ -59,13 +59,7 @@ class X1Decomposition(NamedTuple):
 
 
 def _leading_ones(w: Word) -> int:
-    n = 0
-    for ch in w:
-        if ch == "1":
-            n += 1
-        else:
-            break
-    return n
+    return len(w) - len(w.lstrip("1"))
 
 
 def x1_decompose(p: LinComb) -> X1Decomposition:

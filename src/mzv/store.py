@@ -10,9 +10,9 @@ A rule line reads `rule <word> = <expression>`, the expression `0` or a
 signed sum of words, each with an optional coefficient `n*` or `n/d*`.  The
 sign may be left out before the first term only.  Each expression is
 checked once against the whole grammar, its terms come out of one scan, and
-each coefficient becomes a Fraction of two ints, memoized by its text for
-the lines of one file.  The writer never emits a zero coefficient or a word
-twice in one rule, so the reader takes either for a malformed rule.
+each coefficient becomes a Fraction of two ints, memoized by sign, numerator
+and denominator for one file.  The writer never emits a zero coefficient or
+a word twice in one rule, so the reader takes either for a malformed rule.
 
 A load returns None, a miss that the engine rebuilds, for a file that:
 - cannot be read or decoded as text;
@@ -54,10 +54,11 @@ __all__ = ["FORMAT_VERSION", "TableStore", "resolve_root"]
 FORMAT_VERSION = "1"
 
 # _EXPR is the whole grammar of a rule expression other than 0; _TERM pulls
-# the (coefficient text, word) pairs out of a text that _EXPR accepts
+# the (sign, numerator, denominator, word) groups out of a text that _EXPR
+# accepts, each of the first three empty when it is left out
 _COEFF = r"(?:\d+(?:/\d+)?\*)?"
 _EXPR = re.compile(rf"(?:[+-]\s*)?{_COEFF}[01]+(?:\s*[+-]\s*{_COEFF}[01]+)*")
-_TERM = re.compile(rf"((?:[+-]\s*)?{_COEFF})([01]+)")
+_TERM = re.compile(r"(?:([+-])\s*)?(?:(\d+)(?:/(\d+))?\*)?([01]+)")
 
 
 def resolve_root(flag: str | None = None) -> Path:
@@ -70,33 +71,25 @@ def resolve_root(flag: str | None = None) -> Path:
     return Path(".mzv-cache")
 
 
-def _coefficient(text: str) -> Fraction:
-    """The value of a coefficient text such as "- 3/2*", "+ " or ""."""
-    num, _, den = text.lstrip("+-").strip().rstrip("*").partition("/")
-    n = int(num or 1)
-    return Fraction(-n if text[:1] == "-" else n, int(den or 1))
-
-
-def _parse_word_terms(text: str, coeffs: dict | None = None) -> LinComb:
+def _parse_word_terms(text: str, coeffs: dict) -> LinComb:
     """Parse a rule expression.  coeffs memoizes coefficient values by their
-    text.  A syntax error, a zero coefficient or a repeated word raises
-    ValueError, a zero denominator ZeroDivisionError."""
+    (sign, numerator, denominator) groups of _TERM.  A syntax error, a zero
+    coefficient or a repeated word raises ValueError, a zero denominator
+    ZeroDivisionError."""
     text = text.strip()
     if not text or text == "0":
         return LinComb.zero()
     if _EXPR.fullmatch(text) is None:
         raise ValueError(f"bad rule expression: {text!r}")
-    if coeffs is None:
-        coeffs = {}
     terms = _TERM.findall(text)
     out = {}
-    for coeff, w in terms:
-        c = coeffs.get(coeff)
+    for sign, num, den, w in terms:
+        c = coeffs.get((sign, num, den))
         if c is None:
-            c = _coefficient(coeff)
+            c = Fraction(int(sign + (num or "1")), int(den or 1))
             if not c:
                 raise ValueError(f"zero coefficient in {text!r}")
-            coeffs[coeff] = c
+            coeffs[sign, num, den] = c
         out[w] = c
     if len(out) < len(terms):
         raise ValueError(f"repeated word in {text!r}")

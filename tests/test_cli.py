@@ -10,6 +10,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -17,7 +18,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
-from mzv import cli, engine, numeric
+from mzv import cli, conjectures, engine, numeric
 
 
 @pytest.fixture(autouse=True)
@@ -173,6 +174,21 @@ def test_bk_records_skip_annotation(capsys):
                                 "bk 8 2 1", "bk 9 1 1"]
 
 
+def test_bk_reports_violations_and_a_failed_reconstruction(capsys,
+                                                            monkeypatch):
+    real = conjectures.bk_counts
+    monkeypatch.setattr(conjectures, "bk_counts", lambda n: real(n)._replace(
+        violations=((4, 2, Fraction(-1, 2)),)))
+    monkeypatch.setattr(conjectures, "bk_reconstruct", lambda table: False)
+    code, out, _ = run(capsys, "bk", "--max-weight", "5")
+    assert code == 1
+    assert out.splitlines()[-2:] == [
+        "violation at weight 4 depth 2: -1/2",
+        "re-exponentiation does not reproduce the series"]
+    assert run(capsys, "--records", "bk", "--max-weight", "5") == (
+        1, "bk 3 1 1\nbk 5 1 1\nviolation 4 2 -1/2\n", "")
+
+
 # stdout of `--records bk --max-weight 30`, one n,k:count per line
 BK_RECORDS_TO_30 = """
 3,1:1 5,1:1 7,1:1 8,2:1 9,1:1 10,2:1 11,1:1 11,3:1 12,2:1 12,4:1 13,1:1
@@ -252,6 +268,16 @@ def test_verify_numeric_takes_coefficients_beyond_float_range(capsys,
         "")
     assert run(capsys, "verify", "--mode", "numeric", f"z(2) = {big}*z(2)") \
         == (1, "numeric: FAIL  |lhs - rhs| = 1.645e+400 > 1.0e-6\n", "")
+
+
+@pytest.mark.parametrize("mode", [[], ["--mode", "numeric"]])
+def test_verify_numeric_target_beyond_the_digit_ceiling(capsys, mode):
+    # the error budget asks for about 3007 digits, past numeric.MAX_DIGITS;
+    # the default mode prints the symbolic verdict first
+    big = "9" * 3000
+    code, out, err = run(capsys, "verify", *mode, f"{big}*z(2,1) = {big}*z(3)")
+    assert (code, out) == (2, "" if mode else "symbolic: PASS\n")
+    assert err == "error: could not reach target 2.5e-3007 for (2, 1)\n"
 
 
 def test_verify_numeric_failure_within_tol_counts_the_error(capsys,
@@ -565,6 +591,14 @@ except AttributeError:
     print("ok")
 """)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "ok\n", "")
+
+
+def test_package_resolves_the_numeric_oracle_lazily():
+    import mzv
+    assert mzv.mzv_numeric is numeric.mzv_numeric
+    assert mzv.identity_values is numeric.identity_values
+    with pytest.raises(AttributeError):
+        mzv.no_such_name
 
 
 def test_ceiling_hard_maximum():

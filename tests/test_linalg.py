@@ -8,13 +8,15 @@ modular kernel needs several primes.
 
 from fractions import Fraction
 from itertools import combinations
+from unittest.mock import patch
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mzv import linalg
-from mzv.linalg import SparseMatrix, _eliminate, _primes, rank, rref
+from mzv.linalg import (SparseMatrix, _certify, _eliminate, _primes, rank,
+                        rref)
 
 
 # ---------------------------------------------------------------------------
@@ -254,6 +256,33 @@ def test_rref_matches_gauss_jordan_oracle(case):
     assert list(e.pivots) == pivots
     assert e.pivots == {c: i for i, c in enumerate(pivots)}
     assert e.rows == [rows[c] for c in pivots]
+
+
+@given(int_rows_st)
+# mod 3 the column-0 entry vanishes, so the certificate meets a free column
+# no rule mentions; mod 7 the pivot lands on column 0, a worse pivot set
+@example(([[3, -14]], [1, 0]))
+@settings(max_examples=150, deadline=None)
+def test_rref_with_small_primes_matches_gauss_jordan_oracle(case):
+    # with the primes 3, 7, 31, 127, 8191, ... unlucky primes and lifts the
+    # certificate rejects are common; patch, not monkeypatch, since
+    # Hypothesis rejects function-scoped fixtures
+    dense, order = case
+    m = from_dense(dense, len(order))
+    pivots, rows = rref_oracle(m, order)
+    with patch.object(linalg, "_MERSENNE_EXPONENTS",
+                      (2, 3, 5, 7, 13, 17, 19, 31, 61, 89)):
+        for e in (rref(m, order), rref(m, order, first_order=order[::-1])):
+            assert e.pivots == {c: i for i, c in enumerate(pivots)}
+            assert e.rows == [rows[c] for c in pivots]
+
+
+def test_certificate_rejects_a_lift_not_in_reduced_echelon_form():
+    # e_1 + e_0 spans the row as e_0 + e_1 does, but its pivot 1 comes after
+    # its entry at column 0: only the echelon check tells it from the RREF
+    rows, pos = [{0: 1, 1: 1}], {0: 0, 1: 1}
+    assert _certify(rows, {0: {1: Fraction(1)}}, pos)
+    assert not _certify(rows, {1: {0: Fraction(1)}}, pos)
 
 
 @given(matrices_st)

@@ -267,15 +267,15 @@ def test_wrong_degree_filename_is_a_miss(tmp_path):
 
 
 def test_parse_word_terms():
-    assert _parse_word_terms("0") == LinComb.zero()
-    assert _parse_word_terms("3*01 - 1/2*0011") == \
+    assert _parse_word_terms("0", {}) == LinComb.zero()
+    assert _parse_word_terms("3*01 - 1/2*0011", {}) == \
         LinComb({"01": Fraction(3), "0011": Fraction(-1, 2)})
     with pytest.raises(ValueError):
-        _parse_word_terms("-01 + 01")
+        _parse_word_terms("-01 + 01", {})
     with pytest.raises(ValueError):
-        _parse_word_terms("01 ++ 11")
+        _parse_word_terms("01 ++ 11", {})
     with pytest.raises(ValueError):
-        _parse_word_terms("01 01")
+        _parse_word_terms("01 01", {})
 
 
 # the term loop the rule parser replaced, kept as the oracle of the language
