@@ -51,6 +51,7 @@ from __future__ import annotations
 
 import functools
 import re
+from collections.abc import Mapping
 from fractions import Fraction
 from math import lcm
 from typing import NamedTuple
@@ -130,7 +131,7 @@ PREFERENCES = {"depth": preference_key, "lex": _preference_lex}
 class RewriteTable(NamedTuple):
     degree: int
     basis_words: tuple[Word, ...]          # preference order
-    rules: dict[Word, LinComb]             # non-basis word -> basis combination
+    rules: Mapping[Word, LinComb]          # non-basis word -> basis combination
     generator_map: dict[Word, LinComb]     # basis word -> generator polynomial
     new_generators: tuple[Word, ...]
 
@@ -365,20 +366,27 @@ def check_polynomial_freeness(n: int, cache=None) -> FreenessReport:
 # ---------------------------------------------------------------------------
 # generator polynomial text form
 
-# A generator polynomial is a signed sum of terms.  A term is a rational n or
-# n/d, then factors z(s1,...,sk), with an optional * between any two of them;
-# the rational or the factors may be left out, not both.  Spaces and tabs may
-# stand between any two tokens.  _GEN_EXPR is the whole grammar; _GEN_TERM
-# pulls (sign, n, d, factors) out of a text that it accepts, its lookahead
-# making a term start with a digit or a z.
-_SP = r"[ \t]*"
-_FACTOR = rf"z{_SP}\({_SP}\d+(?:{_SP},{_SP}\d+)*{_SP}\)"
-_TERM = (rf"(?=[\dz])(?:(\d+)(?:{_SP}/{_SP}(\d+))?)?"
-         rf"((?:{_SP}(?:\*{_SP})?{_FACTOR})*)")
-_GEN_EXPR = re.compile(
-    rf"{_SP}(?:[+-]{_SP})?{_TERM}(?:{_SP}[+-]{_SP}{_TERM})*{_SP}")
-_GEN_TERM = re.compile(rf"([+-]?){_SP}{_TERM}")
-_GEN_FACTOR = re.compile(rf"z{_SP}\(([^)]*)\)")
+@functools.cache
+def _gen_grammar():
+    """(expr, term, factor), compiled on first use rather than at import.
+
+    A generator polynomial is a signed sum of terms.  A term is a rational n
+    or n/d, then factors z(s1,...,sk), with an optional * between any two of
+    them; the rational or the factors may be left out, not both.  Spaces and
+    tabs may stand between any two tokens.  expr is the whole grammar; term
+    pulls (sign, n, d, factors) out of a text that expr accepts, its
+    lookahead making a term start with a digit or a z; factor pulls the
+    parts out of each factor.
+    """
+    sp = r"[ \t]*"
+    factor = rf"z{sp}\({sp}\d+(?:{sp},{sp}\d+)*{sp}\)"
+    term = (rf"(?=[\dz])(?:(\d+)(?:{sp}/{sp}(\d+))?)?"
+            rf"((?:{sp}(?:\*{sp})?{factor})*)")
+    return (re.compile(rf"{sp}(?:[+-]{sp})?{term}(?:{sp}[+-]{sp}{term})*{sp}"),
+            re.compile(rf"([+-]?){sp}{term}"),
+            re.compile(rf"z{sp}\(([^)]*)\)"))
+
+
 # A completion for each state of the grammar (a complete text takes one more
 # factor z(1)): a text is a prefix of some valid expression exactly when one
 # of these completes it.
@@ -397,19 +405,20 @@ def format_generator_poly(p: LinComb) -> str:
 
 def parse_generator_poly(text: str) -> LinComb:
     """Parse `9/2*z(5) - 2*z(2)*z(3)` style sums; bare rationals allowed."""
-    if _GEN_EXPR.fullmatch(text) is None:
+    expr, term, factor = _gen_grammar()
+    if expr.fullmatch(text) is None:
         # the first character that no valid expression continues with
         pos = next(k for k in range(len(text), -1, -1)
-                   if any(_GEN_EXPR.fullmatch(text[:k] + s)
+                   if any(expr.fullmatch(text[:k] + s)
                           for s in _GEN_COMPLETIONS))
         raise ValueError(f"bad generator polynomial at position {pos}")
     total = LinComb.zero()
-    for m in _GEN_TERM.finditer(text):
+    for m in term.finditer(text):
         sign, num, den = m.group(1, 2, 3)
         if den is not None and not int(den):
             raise ValueError(f"zero denominator at position {m.start(3)}")
         factors = []
-        for f in _GEN_FACTOR.finditer(m[4]):
+        for f in factor.finditer(m[4]):
             parts = tuple(int(s) for s in f[1].split(","))
             if min(parts) < 1:
                 raise ValueError("index parts must be positive at position "

@@ -8,14 +8,23 @@ deterministic: wiping the cache and rebuilding reproduces identical bytes.
 
 A rule line reads `rule <word> = <expression>`, the expression `0` or a
 signed sum of words, each with an optional coefficient `n*` or `n/d*`.  The
-sign may be left out before the first term only.  Each expression is
-checked once against the whole grammar, its terms come out of one scan, and
-each coefficient becomes a Fraction of two ints, memoized by sign, numerator
-and denominator for one file.  The writer never emits a zero coefficient or
-a word twice in one rule, so the reader takes either for a malformed rule.
+sign may be left out before the first term only.  The writer never emits a
+zero coefficient or a word twice in one rule, so the reader takes either for
+a malformed rule.
+
+A load checks every line, but builds no Fraction.  Each rule's expression
+is split at its terms once, by a grammar whose numerators and denominators
+are nonzero; that split both checks the grammar and yields the words, so a
+zero coefficient, a repeated word or a term that is no basis word is found
+at load.  A loaded table keeps each rule's expression text by its head word
+and parses it into a LinComb on first read; its coefficients become
+Fractions of two ints, memoized by their text for the table.  A command
+that reads one rule of a table, or only counts them, parses one rule or
+none.
 
 A load returns None, a miss that the engine rebuilds, for a file that:
-- cannot be read or decoded as text;
+- cannot be read or decoded as text, or holds a character outside ASCII
+  (the writer emits ASCII only);
 - has a bad checksum, or another format or engine version;
 - does not parse: a bad header, line, expression or generator polynomial,
   a zero denominator, a zero coefficient or a repeated word in one rule;
@@ -31,10 +40,12 @@ A load returns None, a miss that the engine rebuilds, for a file that:
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import os
 import re
 import tempfile
+from collections.abc import Mapping
 from contextlib import suppress
 from fractions import Fraction
 from pathlib import Path
@@ -53,12 +64,29 @@ __all__ = ["FORMAT_VERSION", "TableStore", "resolve_root"]
 
 FORMAT_VERSION = "1"
 
-# _EXPR is the whole grammar of a rule expression other than 0; _TERM pulls
-# the (sign, numerator, denominator, word) groups out of a text that _EXPR
-# accepts, each of the first three empty when it is left out
-_COEFF = r"(?:\d+(?:/\d+)?\*)?"
-_EXPR = re.compile(rf"(?:[+-]\s*)?{_COEFF}[01]+(?:\s*[+-]\s*{_COEFF}[01]+)*")
-_TERM = re.compile(r"(?:([+-])\s*)?(?:(\d+)(?:/(\d+))?\*)?([01]+)")
+
+@functools.cache
+def _grammar():
+    """The rule grammars (terms, line, words), compiled on first use rather
+    than at import.
+
+    An expression other than 0 is a first term, its sign optional, then
+    signed terms, each an optional coefficient n* or n/d* and a word.
+    Splitting it at its terms leaves nothing before, between or after them
+    exactly when it is well formed.  terms captures (coefficient, sign,
+    numerator, denominator, word) of each term.  line splits a rule line
+    into its head and its expression.  words, for the ASCII text of a load,
+    captures the word of each term and takes only nonzero numerators and
+    denominators, so a zero one is left over between terms.
+    """
+    nonzero = "0*[1-9][0-9]*"
+    return (
+        re.compile(r"(?:^|\s*(?=[+-]))"
+                   r"((?:([+-])\s*)?(?:(\d+)(?:/(\d+))?\*)?)([01]+)"),
+        re.compile(r"rule ([01]+) = (.*)"),
+        re.compile(rf"(?:^(?:[+-]\s*)?|\s*[+-]\s*)"
+                   rf"(?:{nonzero}(?:/{nonzero})?\*)?([01]+)"),
+    )
 
 
 def resolve_root(flag: str | None = None) -> Path:
@@ -73,27 +101,54 @@ def resolve_root(flag: str | None = None) -> Path:
 
 def _parse_word_terms(text: str, coeffs: dict) -> LinComb:
     """Parse a rule expression.  coeffs memoizes coefficient values by their
-    (sign, numerator, denominator) groups of _TERM.  A syntax error, a zero
-    coefficient or a repeated word raises ValueError, a zero denominator
-    ZeroDivisionError."""
+    text, sign included.  A syntax error, a zero coefficient or a repeated
+    word raises ValueError, a zero denominator ZeroDivisionError."""
     text = text.strip()
     if not text or text == "0":
         return LinComb.zero()
-    if _EXPR.fullmatch(text) is None:
+    parts = _grammar()[0].split(text)
+    if any(parts[::6]):
         raise ValueError(f"bad rule expression: {text!r}")
-    terms = _TERM.findall(text)
     out = {}
-    for sign, num, den, w in terms:
-        c = coeffs.get((sign, num, den))
+    for key, sign, num, den, w in zip(parts[1::6], parts[2::6], parts[3::6],
+                                      parts[4::6], parts[5::6]):
+        c = coeffs.get(key)
         if c is None:
-            c = Fraction(int(sign + (num or "1")), int(den or 1))
+            c = Fraction(int((sign or "") + (num or "1")), int(den or 1))
             if not c:
                 raise ValueError(f"zero coefficient in {text!r}")
-            coeffs[sign, num, den] = c
+            coeffs[key] = c
         out[w] = c
-    if len(out) < len(terms):
+    if len(out) < len(parts) // 6:
         raise ValueError(f"repeated word in {text!r}")
     return LinComb._raw(out)
+
+
+class _Rules(Mapping):
+    """A loaded table's rules: each rule's expression text by its head word,
+    parsed into a LinComb on first read and kept.  A count, an iteration or
+    a membership test parses none."""
+
+    __slots__ = ("_rules", "_coeffs")
+
+    def __init__(self, texts: dict[str, str]):
+        self._rules: dict[str, str | LinComb] = texts
+        self._coeffs: dict[str, Fraction] = {}
+
+    def __getitem__(self, w):
+        r = self._rules[w]
+        if isinstance(r, str):
+            r = self._rules[w] = _parse_word_terms(r, self._coeffs)
+        return r
+
+    def __contains__(self, w):
+        return w in self._rules
+
+    def __iter__(self):
+        return iter(self._rules)
+
+    def __len__(self):
+        return len(self._rules)
 
 
 def _serialize(table: RewriteTable, preference: str) -> str:
@@ -115,6 +170,8 @@ def _serialize(table: RewriteTable, preference: str) -> str:
 
 
 def _deserialize(text: str, preference: str) -> RewriteTable | None:
+    if not text.isascii():
+        return None
     lines = text.splitlines()
     if len(lines) < 7 or not lines[-1].startswith("checksum "):
         return None
@@ -129,23 +186,34 @@ def _deserialize(text: str, preference: str) -> RewriteTable | None:
         return None
     # a body that passes the checksum can still be malformed, or speak of
     # another weight: treat it like a corrupt file, so it is rebuilt
+    _, rule_line, rule_words = _grammar()
+    match_rule, split_terms = rule_line.fullmatch, rule_words.split
     try:
         degree = int(lines[2].split()[1])
         basis = tuple(lines[4].split()[1:])
         new = tuple(lines[5].split()[1:])
-        rules: dict[str, LinComb] = {}
+        rules: dict[str, str] = {}
+        terms: dict[str, set[str]] = {}
         gen_map: dict[str, LinComb] = {}
-        coeffs: dict[str, Fraction] = {}
         for line in lines[6:-1]:
-            if line.startswith("rule "):
-                head, expr = line[5:].split(" = ", 1)
-                rules[head] = _parse_word_terms(expr, coeffs)
+            m = match_rule(line)
+            if m is not None:
+                head, expr = m.groups()
+                expr = expr.strip()
+                parts = split_terms(expr) if expr != "0" else []
+                words = parts[1::2]
+                if any(parts[::2]):
+                    return None
+                terms[head] = found = set(words)
+                if len(found) < len(words):
+                    return None
+                rules[head] = expr
             elif line.startswith("gen "):
                 head, expr = line[4:].split(" := ", 1)
                 gen_map[head] = parse_generator_poly(expr)
             else:
                 return None
-    except (ValueError, IndexError, ZeroDivisionError):
+    except (ValueError, IndexError):
         return None
     basis_set = set(basis)
     if set(gen_map) != basis_set or not basis_set.issuperset(new):
@@ -155,7 +223,7 @@ def _deserialize(text: str, preference: str) -> RewriteTable | None:
     # words of the file's weight, 2**(degree-2) of them in all (the length
     # test comes first, so degree is at most a line's length)
     heads = basis_set.union(rules)
-    if not set().union(*rules.values()) <= basis_set:
+    if not set().union(*terms.values()) <= basis_set:
         return None
     if not heads or not all(len(w) == degree and in_h2(w)
                             and not w.strip("01") for w in heads):
@@ -165,7 +233,7 @@ def _deserialize(text: str, preference: str) -> RewriteTable | None:
     if any(monomial_weight(m) != degree
            for gp in gen_map.values() for m in gp):
         return None
-    return RewriteTable(degree, basis, rules, gen_map, new)
+    return RewriteTable(degree, basis, _Rules(rules), gen_map, new)
 
 
 class TableStore:

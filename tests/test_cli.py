@@ -565,6 +565,25 @@ def test_only_the_numeric_oracle_loads_mpmath(tmp_path):
         [[None, []], [0, ["mpmath"]]]
 
 
+def test_grammars_are_compiled_on_first_use(tmp_path):
+    proc = _child("-c", """
+import sys
+from mzv import cli, engine, store
+def compiled():
+    return [f.cache_info().currsize
+            for f in (store._grammar, engine._gen_grammar)]
+seen = [compiled()]
+for argv in (["numeric", "--comp", "2"], ["cache", "--rebuild", "--degree", "5"],
+             ["rewrite", "2,3"]):
+    cli.main(["--cache-dir", sys.argv[1], *argv])
+    seen.append(compiled())
+print(seen)
+""", str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    # a build writes tables without parsing any; a load parses them
+    assert proc.stdout.splitlines()[-1] == "[[0, 0], [0, 0], [0, 0], [1, 1]]"
+
+
 def test_bad_tolerance_in_a_fresh_process_prints_only_the_error():
     # the default mode checks the tolerance, importing mpmath to do so,
     # before the symbolic check can print its verdict
