@@ -120,12 +120,8 @@ def preference_key(w: Word):
     return (len(c), -c[0], c)
 
 
-def _preference_lex(w: Word):
-    return word_to_comp(w)
-
-
 # the table store names the order its tables are built in
-PREFERENCES = {"depth": preference_key, "lex": _preference_lex}
+PREFERENCES = {"depth": preference_key, "lex": word_to_comp}
 
 
 class RewriteTable(NamedTuple):

@@ -188,17 +188,13 @@ def _ratrec(u: int, m: int, bound: int) -> Fraction | None:
 def _lift(tails: dict[int, dict[int, int]],
           m: int) -> dict[int, dict[int, Fraction]] | None:
     bound = isqrt(m // 2)
-    memo: dict[int, Fraction] = {}
     out = {}
     for c, row in tails.items():
         lifted = {}
         for k, u in row.items():
-            q = memo.get(u)
+            q = _ratrec(u, m, bound)
             if q is None:
-                q = _ratrec(u, m, bound)
-                if q is None:
-                    return None
-                memo[u] = q
+                return None
             lifted[k] = q
         out[c] = lifted
     return out

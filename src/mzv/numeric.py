@@ -49,7 +49,7 @@ from typing import NamedTuple
 
 from mpmath import mp
 
-from .words import Composition, is_admissible, validate_comp
+from .words import Composition, is_admissible
 
 __all__ = ["NumericValue", "mzv_numeric", "numeric_check", "identity_values",
            "IdentityValues", "check_tolerance"]
@@ -263,7 +263,6 @@ def _digits(target) -> int:
 
 def mzv_numeric(comp, target_abs_err=1e-10) -> NumericValue:
     """Value of the nested sum with abs_error_bound <= target_abs_err."""
-    comp = validate_comp(comp)
     if not is_admissible(comp):
         raise ValueError(f"index is not admissible: {comp!r}")
     target = check_tolerance(target_abs_err)

@@ -78,12 +78,11 @@ def x1_decompose(p: LinComb) -> X1Decomposition:
     while work:
         k = max(_leading_ones(w) for w in work.support())
         if k == 0:
-            buckets[0] = buckets.get(0, LinComb.zero()) + work
+            buckets[0] = work
             break
         q = LinComb._raw({w[k:]: c for w, c in work.items()
                           if _leading_ones(w) == k})
-        buckets[k] = buckets.get(k, LinComb.zero()) + \
-            Fraction(1, factorial(k)) * q
+        buckets[k] = Fraction(1, factorial(k)) * q
         work = work - shuffle(q, word_poly("1" * k))
     m = max(buckets) if buckets else 0
     coeffs = tuple(buckets.get(i, LinComb.zero()) for i in range(m + 1))

@@ -6,28 +6,31 @@ engine version fail the header check and are treated as missing, so a version
 bump silently forces recomputation.  Serialization is fully
 deterministic: wiping the cache and rebuilding reproduces identical bytes.
 
-A rule line reads `rule <word> = <expression>`, the expression `0` or a
-signed sum of words, each with an optional coefficient `n*` or `n/d*`.  The
+A rule line reads `rule <word> = <expression>`, the expression a signed sum
+of one or more words, each with an optional coefficient `n*` or `n/d*`.  The
 sign may be left out before the first term only.  The writer never emits a
 zero coefficient or a word twice in one rule, so the reader takes either for
-a malformed rule.
+a malformed rule.  No table holds a zero rule, since every MZV is positive:
+a rule with no terms, empty or `0`, is malformed too.
 
-A load checks every line, but builds no Fraction.  Each rule's expression
-is split at its terms once, by a grammar whose numerators and denominators
-are nonzero; that split both checks the grammar and yields the words, so a
-zero coefficient, a repeated word or a term that is no basis word is found
-at load.  A loaded table keeps each rule's expression text by its head word
-and parses it into a LinComb on first read; its coefficients become
-Fractions of two ints, memoized by their text for the table.  A command
-that reads one rule of a table, or only counts them, parses one rule or
-none.
+The load is the only validator: it checks every line, but builds no
+Fraction.  Each rule's expression is split at its terms once, by a grammar
+whose numerators and denominators are nonzero; that split both checks the
+grammar and yields the words, so a rule with no terms, a zero coefficient,
+a repeated word or a term that is no basis word is found at load.  A loaded
+table keeps each rule's expression text by its head word and parses it
+into a LinComb on first read, without checking it again; its coefficients
+become Fractions of two ints, memoized by their text for the table.  A
+command that reads one rule of a table, or only counts them, parses one
+rule or none.
 
 A load returns None, a miss that the engine rebuilds, for a file that:
 - cannot be read or decoded as text, or holds a character outside ASCII
   (the writer emits ASCII only);
 - has a bad checksum, or another format or engine version;
 - does not parse: a bad header, line, expression or generator polynomial,
-  a zero denominator, a zero coefficient or a repeated word in one rule;
+  a rule with no terms, a zero denominator, a zero coefficient or a
+  repeated word in one rule;
 - names another order than the store's;
 - speaks of another weight: a word or a generator monomial whose weight is
   not the file's, or a file name of another degree;
@@ -70,14 +73,15 @@ def _grammar():
     """The rule grammars (terms, line, words), compiled on first use rather
     than at import.
 
-    An expression other than 0 is a first term, its sign optional, then
-    signed terms, each an optional coefficient n* or n/d* and a word.
-    Splitting it at its terms leaves nothing before, between or after them
-    exactly when it is well formed.  terms captures (coefficient, sign,
-    numerator, denominator, word) of each term.  line splits a rule line
-    into its head and its expression.  words, for the ASCII text of a load,
-    captures the word of each term and takes only nonzero numerators and
-    denominators, so a zero one is left over between terms.
+    An expression is a first term, its sign optional, then signed terms,
+    each an optional coefficient n* or n/d* and a word.  Splitting it at its
+    terms leaves nothing before, between or after them exactly when it is
+    well formed.  terms, for an expression a load has checked, captures
+    (coefficient, sign, numerator, denominator, word) of each term.  line
+    splits a rule line into its head and its expression.  words, for the
+    ASCII text of a load, captures the word of each term and takes only
+    nonzero numerators and denominators, so a zero one is left over between
+    terms.
     """
     nonzero = "0*[1-9][0-9]*"
     return (
@@ -100,27 +104,17 @@ def resolve_root(flag: str | None = None) -> Path:
 
 
 def _parse_word_terms(text: str, coeffs: dict) -> LinComb:
-    """Parse a rule expression.  coeffs memoizes coefficient values by their
-    text, sign included.  A syntax error, a zero coefficient or a repeated
-    word raises ValueError, a zero denominator ZeroDivisionError."""
-    text = text.strip()
-    if not text or text == "0":
-        return LinComb.zero()
+    """Parse a rule expression that a load has checked.  coeffs memoizes
+    coefficient values by their text, sign included."""
     parts = _grammar()[0].split(text)
-    if any(parts[::6]):
-        raise ValueError(f"bad rule expression: {text!r}")
     out = {}
     for key, sign, num, den, w in zip(parts[1::6], parts[2::6], parts[3::6],
                                       parts[4::6], parts[5::6]):
         c = coeffs.get(key)
         if c is None:
-            c = Fraction(int((sign or "") + (num or "1")), int(den or 1))
-            if not c:
-                raise ValueError(f"zero coefficient in {text!r}")
-            coeffs[key] = c
+            c = coeffs[key] = Fraction(int((sign or "") + (num or "1")),
+                                       int(den or 1))
         out[w] = c
-    if len(out) < len(parts) // 6:
-        raise ValueError(f"repeated word in {text!r}")
     return LinComb._raw(out)
 
 
@@ -200,9 +194,9 @@ def _deserialize(text: str, preference: str) -> RewriteTable | None:
             if m is not None:
                 head, expr = m.groups()
                 expr = expr.strip()
-                parts = split_terms(expr) if expr != "0" else []
+                parts = split_terms(expr)
                 words = parts[1::2]
-                if any(parts[::2]):
+                if not words or any(parts[::2]):
                     return None
                 terms[head] = found = set(words)
                 if len(found) < len(words):

@@ -14,6 +14,11 @@ combination of hashable keys and shares the LinComb container below.
 Coefficients are exact: fractions.Fraction, with plain int tolerated as a
 denominator-one rational.  Every product of two such combinations is the
 bilinear extension LinComb.product of a product on keys.
+
+The shuffle and the stuffle are both quasi-shuffle products (Hoffman,
+Quasi-shuffle products, 2000) and share one recursion: the stuffle of two
+compositions is their shuffle, as words in the letters y_i, plus the terms
+that merge the two leading parts y_i, y_j into y_{i+j}.
 """
 
 from __future__ import annotations
@@ -294,13 +299,17 @@ def parse_comp(text: str) -> Composition:
 
 
 # ---------------------------------------------------------------------------
-# shuffle
+# shuffle and stuffle
 
 _shuffle_memo: dict[tuple[Word, Word], dict[Word, int]] = {}
+_stuffle_memo: dict[tuple[Composition, Composition], dict[Composition, int]] = {}
 
 
-def _shuffle_words(u: Word, v: Word) -> dict[Word, int]:
-    """All interleavings of u and v with multiplicity (integer counts)."""
+def _quasi_shuffle(u, v, memo: dict, stuffle: bool) -> dict:
+    """au * bv = a(u * bv) + b(au * v), plus (a+b)(u * v) if stuffle, with
+    integer multiplicities, memoized in memo.  u and v are both words (str,
+    the shuffle) or both compositions (tuple, the stuffle, where a letter
+    is a part y_i and y_i + y_j is y_{i+j})."""
     if not u:
         return {v: 1}
     if not v:
@@ -308,20 +317,27 @@ def _shuffle_words(u: Word, v: Word) -> dict[Word, int]:
     if u > v:
         u, v = v, u
     key = (u, v)
-    hit = _shuffle_memo.get(key)
+    hit = memo.get(key)
     if hit is not None:
         return hit
-    acc: dict[Word, int] = {}
-    a = u[0]
-    for w, c in _shuffle_words(u[1:], v).items():
-        aw = a + w
-        acc[aw] = acc.get(aw, 0) + c
-    b = v[0]
-    for w, c in _shuffle_words(u, v[1:]).items():
-        bw = b + w
-        acc[bw] = acc.get(bw, 0) + c
-    _shuffle_memo[key] = acc
+    acc = {}
+    steps = [(u[:1], u[1:], v), (v[:1], u, v[1:])]
+    if stuffle:
+        steps.append(((u[0] + v[0],), u[1:], v[1:]))
+    for a, x, y in steps:
+        for w, m in _quasi_shuffle(x, y, memo, stuffle).items():
+            aw = a + w
+            acc[aw] = acc.get(aw, 0) + m
+    memo[key] = acc
     return acc
+
+
+def _shuffle_words(u: Word, v: Word) -> dict[Word, int]:
+    return _quasi_shuffle(u, v, _shuffle_memo, False)
+
+
+def _stuffle_comps(a: Composition, b: Composition) -> dict[Composition, int]:
+    return _quasi_shuffle(a, b, _stuffle_memo, True)
 
 
 def shuffle(p: LinComb, q: LinComb) -> LinComb:
@@ -332,40 +348,6 @@ def shuffle(p: LinComb, q: LinComb) -> LinComb:
 def concat(p: LinComb, q: LinComb) -> LinComb:
     """Concatenation product of two word polynomials."""
     return p.product(q, lambda u, v: {u + v: 1})
-
-
-# ---------------------------------------------------------------------------
-# stuffle
-
-_stuffle_memo: dict[tuple[Composition, Composition], dict[Composition, int]] = {}
-
-
-def _stuffle_comps(a: Composition, b: Composition) -> dict[Composition, int]:
-    """y_i u * y_j v = y_i (u * y_j v) + y_j (y_i u * v) + y_{i+j} (u * v)."""
-    if not a:
-        return {b: 1}
-    if not b:
-        return {a: 1}
-    if a > b:
-        a, b = b, a
-    key = (a, b)
-    hit = _stuffle_memo.get(key)
-    if hit is not None:
-        return hit
-    acc: dict[Composition, int] = {}
-    i, u = a[0], a[1:]
-    j, v = b[0], b[1:]
-    for c, m in _stuffle_comps(u, b).items():
-        k = (i,) + c
-        acc[k] = acc.get(k, 0) + m
-    for c, m in _stuffle_comps(a, v).items():
-        k = (j,) + c
-        acc[k] = acc.get(k, 0) + m
-    for c, m in _stuffle_comps(u, v).items():
-        k = (i + j,) + c
-        acc[k] = acc.get(k, 0) + m
-    _stuffle_memo[key] = acc
-    return acc
 
 
 def stuffle(p: LinComb, q: LinComb) -> LinComb:

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mzv import words
 from mzv.words import (
     LinComb,
     all_words,
@@ -245,6 +246,18 @@ def test_stuffle_preserves_weight(a, b):
     n = comp_weight(a) + comp_weight(b)
     r = stuffle(comp_poly(a), comp_poly(b))
     assert all(comp_weight(c) == n for c in r.support())
+
+
+def test_each_product_fills_only_its_own_memo(monkeypatch):
+    # the two products share one recursion, but the benchmark counts the
+    # entries of their memos apart
+    monkeypatch.setattr(words, "_shuffle_memo", {})
+    monkeypatch.setattr(words, "_stuffle_memo", {})
+    shuffle(word_poly("011"), word_poly("01"))
+    assert words._shuffle_memo and not words._stuffle_memo
+    words._shuffle_memo.clear()
+    stuffle(comp_poly((2, 1)), comp_poly((2,)))
+    assert words._stuffle_memo and not words._shuffle_memo
 
 
 # ---------------------------------------------------------------------------
