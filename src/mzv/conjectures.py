@@ -241,13 +241,8 @@ def dim_bridge(max_n: int) -> tuple[list[int], list[int]]:
     """Coefficients of prod_p (1 - t^p)^(-N(p)) next to the dimension table;
     the two agree termwise when the counts are consistent."""
     N = n23_counts(max_n)
-    coeffs = [1] + [0] * max_n
+    prod = _ONE
     for p in range(1, max_n + 1):
-        if not N[p]:
-            continue
-        factor = [0] * (max_n + 1)
-        for i in range(0, max_n // p + 1):
-            factor[p * i] = comb(N[p] + i - 1, i)
-        coeffs = [sum(coeffs[a] * factor[n - a] for a in range(n + 1))
-                  for n in range(max_n + 1)]
-    return coeffs, zagier_dims(max_n)
+        for _ in range(N[p]):
+            prod = _series_mul(prod, _geometric_x(p, max_n), max_n)
+    return [prod[(n, 0)] for n in range(max_n + 1)], zagier_dims(max_n)

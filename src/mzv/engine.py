@@ -60,6 +60,7 @@ from .linalg import SparseMatrix, rref
 from .lyndon import LyndonMonomial, lyndon_words, radford_decompose_poly
 from .regularize import knt_system
 from .words import (
+    INDEX_PATTERN,
     Composition,
     LinComb,
     Word,
@@ -324,7 +325,7 @@ def check_polynomial_freeness(n: int, cache=None) -> FreenessReport:
         gp = LinComb.term(())
         for f in mono:
             gp = gp_mul(gp, factor(f))
-        den = lcm(*(Fraction(v).denominator for _, v in gp.items()))
+        den = lcm(*(Fraction(v).denominator for v in gp.values()))
         return {("p", g): int(v * den) for g, v in gp.items()}, den
 
     # one row per rule u -> sum c_b b: phi(u - sum c_b b), substituted
@@ -368,15 +369,16 @@ def _gen_grammar():
 
     A generator polynomial is a signed sum of terms.  A term is a rational n
     or n/d, then factors z(s1,...,sk), with an optional * between any two of
-    them; the rational or the factors may be left out, not both.  Spaces and
-    tabs may stand between any two tokens.  expr is the whole grammar; term
+    them; the rational or the factors may be left out, not both.  Numbers
+    are ASCII digits, and an index is words.INDEX_PATTERN.  Spaces and tabs
+    may stand between any two tokens.  expr is the whole grammar; term
     pulls (sign, n, d, factors) out of a text that expr accepts, its
     lookahead making a term start with a digit or a z; factor pulls the
     parts out of each factor.
     """
     sp = r"[ \t]*"
-    factor = rf"z{sp}\({sp}\d+(?:{sp},{sp}\d+)*{sp}\)"
-    term = (rf"(?=[\dz])(?:(\d+)(?:{sp}/{sp}(\d+))?)?"
+    factor = rf"z{sp}\({INDEX_PATTERN}\)"
+    term = (rf"(?=[0-9z])(?:([0-9]+)(?:{sp}/{sp}([0-9]+))?)?"
             rf"((?:{sp}(?:\*{sp})?{factor})*)")
     return (re.compile(rf"{sp}(?:[+-]{sp})?{term}(?:{sp}[+-]{sp}{term})*{sp}"),
             re.compile(rf"([+-]?){sp}{term}"),

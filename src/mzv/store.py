@@ -19,10 +19,10 @@ whose numerators and denominators are nonzero; that split both checks the
 grammar and yields the words, so a rule with no terms, a zero coefficient,
 a repeated word or a term that is no basis word is found at load.  A loaded
 table keeps each rule's expression text by its head word and parses it
-into a LinComb on first read, without checking it again; its coefficients
-become Fractions of two ints, memoized by their text for the table.  A
-command that reads one rule of a table, or only counts them, parses one
-rule or none.
+into a LinComb on first read, walking the same grammar without checking
+again; its coefficients become Fractions, memoized by their text for the
+table.  A command that reads one rule of a table, or only counts them,
+parses one rule or none.
 
 A load returns None, a miss that the engine rebuilds, for a file that:
 - cannot be read or decoded as text, or holds a character outside ASCII
@@ -70,23 +70,19 @@ FORMAT_VERSION = "1"
 
 @functools.cache
 def _grammar():
-    """The rule grammars (terms, line, words), compiled on first use rather
-    than at import.
+    """The rule grammars (line, words), compiled on first use rather than
+    at import.
 
-    An expression is a first term, its sign optional, then signed terms,
-    each an optional coefficient n* or n/d* and a word.  Splitting it at its
-    terms leaves nothing before, between or after them exactly when it is
-    well formed.  terms, for an expression a load has checked, captures
-    (coefficient, sign, numerator, denominator, word) of each term.  line
-    splits a rule line into its head and its expression.  words, for the
-    ASCII text of a load, captures the word of each term and takes only
-    nonzero numerators and denominators, so a zero one is left over between
-    terms.
+    line splits a rule line into its head and its expression.  An
+    expression is a first term, its sign optional, then signed terms, each
+    an optional coefficient n* or n/d* and a word.  words matches one term
+    of the ASCII text of a load, capturing its word, and takes only nonzero
+    numerators and denominators.  Splitting an expression at its terms
+    leaves nothing before, between or after them exactly when it is well
+    formed, so a zero one is left over between terms.
     """
     nonzero = "0*[1-9][0-9]*"
     return (
-        re.compile(r"(?:^|\s*(?=[+-]))"
-                   r"((?:([+-])\s*)?(?:(\d+)(?:/(\d+))?\*)?)([01]+)"),
         re.compile(r"rule ([01]+) = (.*)"),
         re.compile(rf"(?:^(?:[+-]\s*)?|\s*[+-]\s*)"
                    rf"(?:{nonzero}(?:/{nonzero})?\*)?([01]+)"),
@@ -105,16 +101,16 @@ def resolve_root(flag: str | None = None) -> Path:
 
 def _parse_word_terms(text: str, coeffs: dict) -> LinComb:
     """Parse a rule expression that a load has checked.  coeffs memoizes
-    coefficient values by their text, sign included."""
-    parts = _grammar()[0].split(text)
+    coefficient values by their text, from the start of a term to its word,
+    sign and spaces included."""
     out = {}
-    for key, sign, num, den, w in zip(parts[1::6], parts[2::6], parts[3::6],
-                                      parts[4::6], parts[5::6]):
+    for m in _grammar()[1].finditer(text):
+        key = text[m.start():m.start(1)]
         c = coeffs.get(key)
         if c is None:
-            c = coeffs[key] = Fraction(int((sign or "") + (num or "1")),
-                                       int(den or 1))
-        out[w] = c
+            n = "".join(key.split()).rstrip("*")  # "", "-", "3/4", "-3", ...
+            c = coeffs[key] = Fraction(n if n[-1:].isdigit() else n + "1")
+        out[m[1]] = c
     return LinComb._raw(out)
 
 
@@ -180,7 +176,7 @@ def _deserialize(text: str, preference: str) -> RewriteTable | None:
         return None
     # a body that passes the checksum can still be malformed, or speak of
     # another weight: treat it like a corrupt file, so it is rebuilt
-    _, rule_line, rule_words = _grammar()
+    rule_line, rule_words = _grammar()
     match_rule, split_terms = rule_line.fullmatch, rule_words.split
     try:
         degree = int(lines[2].split()[1])

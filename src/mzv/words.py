@@ -10,7 +10,8 @@ equivalently iff its word lies in H2.
 Every linear structure in the package (word polynomials, composition
 polynomials, Lyndon polynomials, generator polynomials, the truncated
 bivariate series of the counting checks) is a finite rational linear
-combination of hashable keys and shares the LinComb container below.
+combination of hashable keys and is one LinComb: an immutable dict from
+each key to its nonzero coefficient, where a missing key reads 0.
 Coefficients are exact: fractions.Fraction, with plain int tolerated as a
 denominator-one rational.  Every product of two such combinations is the
 bilinear extension LinComb.product of a product on keys.
@@ -23,12 +24,17 @@ that merge the two leading parts y_i, y_j into y_{i+j}.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from itertools import product as _cartesian
-from typing import Callable, Hashable, Iterable, Iterator, Mapping
+from typing import Callable, Hashable, Mapping
 
 Word = str
 Composition = tuple[int, ...]
+
+# an index as parse_comp and the factors z(...) read it: runs of ASCII digits
+# separated by commas, with spaces or tabs around a comma and at either end
+INDEX_PATTERN = r"[ \t]*[0-9]+(?:[ \t]*,[ \t]*[0-9]+)*[ \t]*"
 
 __all__ = [
     "Word",
@@ -57,29 +63,27 @@ __all__ = [
 ]
 
 
-class LinComb:
-    """A finite rational linear combination of hashable keys.
+class LinComb(dict):
+    """A finite rational linear combination of hashable keys: an immutable
+    dict from each key to its nonzero coefficient.
 
-    Immutable by convention: every operation returns a fresh LinComb and no
-    method mutates ``_terms`` after construction, so instances can be shared
-    freely (the shuffle/expansion memo tables rely on this).
+    A missing key reads 0 and is not stored.  Every operation returns a
+    fresh LinComb and every mutator raises TypeError, so instances can be
+    shared freely (the expansion memo, the generator maps and the parsed
+    rules rely on this).  Results are built in a plain dict and wrapped once.
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ()
 
     def __init__(self, terms: Mapping[Hashable, object] | None = None):
-        d = {}
         if terms:
-            for k, c in terms.items():
-                if c:
-                    d[k] = c
-        self._terms = d
+            dict.update(self, {k: c for k, c in terms.items() if c})
 
     @classmethod
     def _raw(cls, d: dict) -> "LinComb":
-        # trusted constructor: d is fresh and already zero-free
-        self = object.__new__(cls)
-        self._terms = d
+        # trusted constructor: d is already zero-free
+        self = dict.__new__(cls)
+        dict.update(self, d)
         return self
 
     @classmethod
@@ -90,38 +94,22 @@ class LinComb:
     def zero(cls) -> "LinComb":
         return cls._raw({})
 
-    def items(self):
-        return self._terms.items()
+    support = dict.keys
 
-    def support(self):
-        return self._terms.keys()
+    def __missing__(self, key):
+        return 0
 
-    def __getitem__(self, key):
-        return self._terms.get(key, 0)
+    def _immutable(self, *args, **kwargs):
+        raise TypeError("a LinComb is immutable")
 
-    def __len__(self) -> int:
-        return len(self._terms)
-
-    def __bool__(self) -> bool:
-        return bool(self._terms)
-
-    def __iter__(self) -> Iterator:
-        return iter(self._terms)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, LinComb):
-            return self._terms == other._terms
-        if other == 0:
-            return not self._terms
-        return NotImplemented
-
-    __hash__ = None  # type: ignore[assignment]
+    __setitem__ = __delitem__ = __ior__ = _immutable
+    clear = pop = popitem = setdefault = update = _immutable
 
     def __add__(self, other: "LinComb") -> "LinComb":
         if not isinstance(other, LinComb):
             return NotImplemented
-        d = dict(self._terms)
-        for k, c in other._terms.items():
+        d = dict(self)
+        for k, c in other.items():
             s = d.get(k, 0) + c
             if s:
                 d[k] = s
@@ -135,20 +123,19 @@ class LinComb:
         return self + -other
 
     def __neg__(self) -> "LinComb":
-        return LinComb._raw({k: -c for k, c in self._terms.items()})
+        return LinComb._raw({k: -c for k, c in self.items()})
 
     def __rmul__(self, scalar) -> "LinComb":
         if not scalar:
             return LinComb._raw({})
-        return LinComb._raw({k: scalar * c for k, c in self._terms.items()})
+        return LinComb._raw({k: scalar * c for k, c in self.items()})
 
-    def __mul__(self, scalar) -> "LinComb":
-        return self.__rmul__(scalar)
+    __mul__ = __rmul__
 
     def map_keys(self, f: Callable[[Hashable], Hashable]) -> "LinComb":
         """Push every key through f, merging collisions (linear extension)."""
         d = {}
-        for k, c in self._terms.items():
+        for k, c in self.items():
             k2 = f(k)
             s = d.get(k2, 0) + c
             if s:
@@ -160,8 +147,8 @@ class LinComb:
     def map_linear(self, f: Callable[[Hashable], "LinComb"]) -> "LinComb":
         """Substitute f(key) for every key (f returns a LinComb)."""
         d = {}
-        for k, c in self._terms.items():
-            for k2, c2 in f(k)._terms.items():
+        for k, c in self.items():
+            for k2, c2 in f(k).items():
                 s = d.get(k2, 0) + c * c2
                 if s:
                     d[k2] = s
@@ -174,8 +161,8 @@ class LinComb:
         """Bilinear extension of mul, which maps two keys to the keys of
         their product with integer multiplicities."""
         d = {}
-        for k1, c1 in self._terms.items():
-            for k2, c2 in other._terms.items():
+        for k1, c1 in self.items():
+            for k2, c2 in other.items():
                 c = c1 * c2
                 for k, mult in mul(k1, k2).items():
                     s = d.get(k, 0) + c * mult
@@ -186,10 +173,10 @@ class LinComb:
         return LinComb._raw(d)
 
     def __repr__(self) -> str:
-        if not self._terms:
+        if not self:
             return "LinComb(0)"
         inner = ", ".join(f"{k!r}: {c}" for k, c in sorted(
-            self._terms.items(), key=lambda kv: repr(kv[0])))
+            self.items(), key=lambda kv: repr(kv[0])))
         return f"LinComb({{{inner}}})"
 
 
@@ -291,11 +278,9 @@ def format_comp(c: Composition) -> str:
 
 
 def parse_comp(text: str) -> Composition:
-    try:
-        c = tuple(int(p) for p in text.split(","))
-    except ValueError:
-        raise ValueError(f"bad composition text: {text!r}") from None
-    return validate_comp(c)
+    if re.fullmatch(INDEX_PATTERN, text) is None:
+        raise ValueError(f"bad composition text: {text!r}")
+    return validate_comp(tuple(int(p) for p in text.split(",")))
 
 
 # ---------------------------------------------------------------------------

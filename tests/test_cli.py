@@ -325,6 +325,20 @@ def test_verify_mixed_weight_is_usage_error(capsys):
     assert code == 2 and "weight" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["rewrite", "1_1"],
+    ["numeric", "--comp", "2_0"],
+    ["rewrite", "+2"],
+    ["verify", "--mode", "symbolic",
+     "z(\N{ARABIC-INDIC DIGIT TWO},3) = 9/2*z(5) - 2*z(2)*z(3)"],
+], ids=["underscore", "numeric-underscore", "plus-sign", "arabic-indic"])
+def test_an_index_is_ascii_digits_and_commas(capsys, argv):
+    # int() and the regex \d accept more than an index written in [0-9]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and err.startswith("error:")
+    assert out == "" and "Traceback" not in err
+
+
 def test_verify_parse_error_position(capsys):
     code, _, err = run(capsys, "verify", "z(2,3) = 9/2*")
     assert code == 2 and "position" in err

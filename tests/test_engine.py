@@ -451,7 +451,7 @@ def parse_by_scanner(text):
     def parse_uint():
         nonlocal i
         start = i
-        while i < n and text[i].isdigit():
+        while i < n and text[i] in "0123456789":
             i += 1
         if i == start:
             fail("expected a number")
@@ -487,7 +487,7 @@ def parse_by_scanner(text):
         coeff = Fraction(1)
         explicit = False
         skip()
-        if i < n and text[i].isdigit():
+        if i < n and text[i] in "0123456789":
             explicit = True
             num = parse_uint()
             skip()
@@ -551,7 +551,8 @@ def parse_result(parse, text):
 
 # what a mutation inserts or deletes: the grammar's own characters, the
 # whitespace it does and does not allow, an Arabic-Indic three (a decimal
-# digit that int() reads) and a superscript two (isdigit() but no decimal)
+# digit that int() reads) and a superscript two (isdigit() but no decimal);
+# the grammar's digits are ASCII only, so it rejects both
 _mutation_chars = st.sampled_from(
     list("z()0123456789,*/+-") + [" ", "\t", "\n", "٣", "²"])
 

@@ -5,6 +5,7 @@ The shuffle product is checked against a brute-force interleaving oracle
 stuffle against a direct recursive oracle without memoization.
 """
 
+import operator
 from fractions import Fraction
 from itertools import combinations
 
@@ -155,6 +156,37 @@ def test_lincomb_map_linear_merges():
     p = LinComb.term("x", 1) + LinComb.term("y", 2)
     r = p.map_linear(lambda k: LinComb.term("z", 1))
     assert r == LinComb.term("z", 3)
+
+
+def test_lincomb_missing_key_reads_zero_and_is_not_stored():
+    p = LinComb.term("a", 2)
+    assert p["zz"] == 0 and "zz" not in p
+    assert len(p) == 1
+
+
+def test_lincomb_holds_only_nonzero_coefficients():
+    assert LinComb({"a": 0, "b": Fraction(0), "c": 3}) == {"c": 3}
+    assert not LinComb.term("a", 0)
+    p = LinComb({"a": 1, "b": -2})
+    assert not 0 * p and not p - p
+
+
+@pytest.mark.parametrize("mutate", [
+    lambda p: operator.setitem(p, "a", 2),
+    lambda p: operator.delitem(p, "a"),
+    lambda p: p.update({"b": 1}),
+    lambda p: p.pop("a"),
+    lambda p: p.popitem(),
+    lambda p: p.setdefault("b", 1),
+    lambda p: p.clear(),
+    lambda p: operator.ior(p, {"b": 1}),
+], ids=["setitem", "delitem", "update", "pop", "popitem", "setdefault",
+        "clear", "ior"])
+def test_lincomb_mutators_raise(mutate):
+    p = LinComb.term("a", 1)
+    with pytest.raises(TypeError):
+        mutate(p)
+    assert p == {"a": 1}
 
 
 # ---------------------------------------------------------------------------
