@@ -52,6 +52,16 @@ def _check_degree(args, n: int, low: int = 2) -> None:
             f"(raise with --ceiling, hard maximum {HARD_CEILING})")
 
 
+def _tolerance_text(text: str) -> str:
+    # kept as text, which numeric.check_tolerance reads in mpf: that reaches
+    # below the float range, where float() would give 0.0
+    try:
+        float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    return text
+
+
 def _cache(args):
     # alternative basis orders never touch the persistent cache
     if args.prefer != "depth":
@@ -139,7 +149,8 @@ def cmd_verify(args) -> int:
         numeric.check_tolerance(args.tol)
     ident = _parse_identity(args.identity)
     weight = engine.identity_weight(ident)
-    if weight is not None and weight > 0:
+    # --ceiling bounds the relation engine, which only the symbolic check runs
+    if weight and args.mode != "numeric":
         _check_degree(args, weight)
     failed = False
     if args.mode in ("symbolic", "both"):
@@ -348,7 +359,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("identity")
     p.add_argument("--mode", choices=("symbolic", "numeric", "both"),
                    default="both")
-    p.add_argument("--tol", type=float, default=1e-6)
+    p.add_argument("--tol", type=_tolerance_text, default="1e-6")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("rewrite",
@@ -368,7 +379,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("numeric", help="high-precision value of an index")
     p.add_argument("--comp", required=True)
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--tol", type=_tolerance_text, default="1e-10")
     p.set_defaults(func=cmd_numeric)
 
     p = sub.add_parser("freeness",

@@ -56,7 +56,7 @@ from fractions import Fraction
 from math import lcm
 from typing import NamedTuple
 
-from .linalg import SparseMatrix, rref
+from .linalg import rref
 from .lyndon import LyndonMonomial, lyndon_words, radford_decompose_poly
 from .regularize import knt_system
 from .words import (
@@ -194,45 +194,42 @@ def echelonize_degree(n: int, cache=None) -> RewriteTable:
 
     mat = knt_system(n)
     words = mat.column_labels
-    low_fill = sorted(range(len(words)),
-                      key=lambda i: (-words[i].count("1"), words[i][::-1]))
-    order = sorted(range(len(words)),
-                   key=lambda i: key(words[i]), reverse=True)
-    ech = rref(mat, order, first_order=low_fill)
-    basis_words = tuple(sorted((w for i, w in enumerate(words)
-                                if i not in ech.pivots), key=key))
+    low_fill = sorted(words, key=lambda w: (-w.count("1"), w[::-1]))
+    ech = rref(mat.rows, sorted(words, key=key, reverse=True),
+               first_order=low_fill)
+    basis_words = tuple(sorted((w for w in words if w not in ech.pivots),
+                               key=key))
     rules: dict[Word, LinComb] = {}
-    for c, i in ech.pivots.items():
-        rules[words[c]] = LinComb._raw(
-            {words[j]: -v for j, v in ech.rows[i].items() if j != c})
+    for u, i in ech.pivots.items():
+        rules[u] = LinComb._raw(
+            {w: -v for w, v in ech.rows[i].items() if w != u})
     table = RewriteTable(n, basis_words, rules, {}, ())
 
     # rows: basis coordinates; columns: the product values, then the unit
-    # vector of each basis word in preference order
+    # vector (the one-factor monomial) of each basis word in preference order
     gens = [word_to_comp(w) for m in range(2, n)
             for w in cache.get(m).new_generators]
     monos = _product_monomials(gens, n)
-    row_of = {b: i for i, b in enumerate(basis_words)}
-    rows = [{len(monos) + i: 1} for i in range(len(basis_words))]
-    for j, mono in enumerate(monos):
+    units = [(word_to_comp(b),) for b in basis_words]
+    rows = [{u: 1} for u in units]
+    row_of = dict(zip(basis_words, rows))
+    for mono in monos:
         for b, v in _product_value(mono, table).items():
-            rows[row_of[b]][j] = v
-    keys = monos + [(word_to_comp(b),) for b in basis_words]
-    res = rref(SparseMatrix(len(keys), rows=rows), range(len(keys)))
+            row_of[b][mono] = v
+    res = rref(rows, monos + units)
 
     # a pivot basis column is a new generator; any other column is its own
     # RREF column over the pivot columns before it
     gen_map: dict[Word, LinComb] = {}
     new_gens: list[Word] = []
-    for i, b in enumerate(basis_words):
-        c = len(monos) + i
-        if c in res.pivots:
+    for b, u in zip(basis_words, units):
+        if u in res.pivots:
             new_gens.append(b)
-            gen_map[b] = LinComb.term(keys[c])
+            gen_map[b] = LinComb.term(u)
         else:
-            gen_map[b] = LinComb._raw({keys[p]: res.rows[r][c]
-                                       for p, r in res.pivots.items()
-                                       if c in res.rows[r]})
+            gen_map[b] = LinComb._raw({g: res.rows[r][u]
+                                       for g, r in res.pivots.items()
+                                       if u in res.rows[r]})
 
     table = RewriteTable(n, basis_words, rules, gen_map, tuple(new_gens))
     cache.put(table)
@@ -341,22 +338,16 @@ def check_polynomial_freeness(n: int, cache=None) -> FreenessReport:
             for k, v in sub.items():
                 row[k] = row.get(k, 0) + f * v
         sub_rows.append({k: v for k, v in row.items() if v})
-    product_cols = {k[1] for row in sub_rows for k in row if k[0] == "p"}
+    product_cols = {k for row in sub_rows for k in row if k[0] == "p"}
 
     # singles scanned first, least preferred first within them
     single_cols = sorted(singles, key=key, reverse=True)
-    prod_sorted = sorted(product_cols)
-    labels = [("s", l) for l in single_cols] + \
-        [("p", g) for g in prod_sorted]
-    index = {k: i for i, k in enumerate(labels)}
-    sys = SparseMatrix(len(labels))
-    for row in sub_rows:
-        sys.add_row({index[k]: v for k, v in row.items()})
-    ech = rref(sys, list(range(len(labels))))
+    ech = rref(sub_rows,
+               [("s", l) for l in single_cols] + sorted(product_cols))
 
-    survivors = [l for l in single_cols if index[("s", l)] not in ech.pivots]
+    survivors = [l for l in single_cols if ("s", l) not in ech.pivots]
     survivors.sort(key=key)
-    bad = tuple(labels[c][1] for c in ech.pivots if labels[c][0] == "p")
+    bad = tuple(g for kind, g in ech.pivots if kind == "p")
     return FreenessReport(n, not bad, tuple(survivors), bad)
 
 

@@ -1,7 +1,10 @@
 """Exact sparse linear algebra over the rationals.
 
-Rows are sparse mappings column-index -> coefficient.  `rref` computes the
-reduced row echelon form for a given column order with one modular kernel:
+Rows are sparse mappings column label -> coefficient, where a label is any
+hashable value.  `rref` computes the reduced row echelon form for a given
+column order with one modular kernel.  It numbers each label once, by its
+position in the column order, runs the kernel on those positions, and maps
+the result back to labels once on exit:
 
 1. Each row is scaled to integers and divided by its content.
 2. The integer rows are eliminated modulo a prime p in column order; within
@@ -47,14 +50,15 @@ prime whose pivot set is worse (lower rank, or later pivots in the column
 order) is unlucky and dropped; one with a better pivot set replaces those
 gathered so far.
 
-`rank` is the pivot count of `rref` in reversed column order.
+`rank` is the pivot count of `rref` in reversed column-label order.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, isqrt, lcm
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import (Hashable, Iterable, Iterator, Mapping, NamedTuple,
+                    Sequence)
 
 __all__ = [
     "SparseMatrix",
@@ -64,32 +68,15 @@ __all__ = [
 ]
 
 
-class SparseMatrix:
-    """Rows of sparse rational coefficients over labeled columns."""
-
-    def __init__(self, n_cols: int, column_labels: Sequence | None = None,
-                 rows: Iterable[Mapping[int, object]] | None = None):
-        if column_labels is not None and len(column_labels) != n_cols:
-            raise ValueError("label count does not match n_cols")
-        self.n_cols = n_cols
-        self.column_labels = list(column_labels) if column_labels else None
-        self.rows: list[dict[int, object]] = []
-        for r in rows or ():
-            self.add_row(r)
-
-    def add_row(self, row: Mapping[int, object]) -> None:
-        clean = {}
-        for c, v in row.items():
-            if not (0 <= c < self.n_cols):
-                raise ValueError(f"column index {c} out of range")
-            if v:
-                clean[c] = v
-        self.rows.append(clean)
+class SparseMatrix(NamedTuple):
+    """Rows of sparse rational coefficients keyed by column label."""
+    column_labels: Sequence[Hashable]
+    rows: list[Mapping[Hashable, object]]
 
 
 class EchelonForm:
-    def __init__(self, pivots: dict[int, int],
-                 rows: list[dict[int, Fraction]]):
+    def __init__(self, pivots: dict[Hashable, int],
+                 rows: list[dict[Hashable, Fraction]]):
         self.pivots = pivots
         self.rows = rows
 
@@ -201,15 +188,15 @@ def _lift(tails: dict[int, dict[int, int]],
 
 
 def _certify(rows: list[dict[int, int]],
-             lifted: dict[int, dict[int, Fraction]],
-             pos: dict[int, int]) -> bool:
+             lifted: dict[int, dict[int, Fraction]]) -> bool:
     """The rows R_c (pivot c, implicit 1) are in reduced echelon form for
-    the column order, and every raw row is orthogonal to the integer-scaled
-    kernel vector D_f (e_f - sum_c R_c[f] e_c) of each free column f."""
+    the column order 0, 1, 2, ..., and every raw row is orthogonal to the
+    integer-scaled kernel vector D_f (e_f - sum_c R_c[f] e_c) of each free
+    column f."""
     scale: dict[int, int] = {}
     for c, row in lifted.items():
         for f, q in row.items():
-            if f in lifted or pos[f] < pos[c]:
+            if f in lifted or f < c:
                 return False
             scale[f] = lcm(scale.get(f, 1), q.denominator)
     kernel: dict[int, dict[int, int]] = {f: {f: d} for f, d in scale.items()}
@@ -229,31 +216,42 @@ def _certify(rows: list[dict[int, int]],
     return True
 
 
-def rref(m: SparseMatrix, col_order: Sequence[int],
-         first_order: Sequence[int] | None = None) -> EchelonForm:
-    """Reduced row echelon form scanning pivot columns in col_order.
+def rref(rows: Iterable[Mapping[Hashable, object]],
+         col_order: Sequence[Hashable],
+         first_order: Sequence[Hashable] | None = None) -> EchelonForm:
+    """Reduced row echelon form of rows, scanning pivot columns in col_order.
 
-    The result (pivot set and reduced rows) is the unique RREF of the row
-    space under that column order, certified exactly over Q.  With
-    first_order, each prime first eliminates the rows in that order and
-    then the resulting echelon rows in col_order; the result is the same.
+    A row maps column labels, each listed once in col_order, to rational
+    coefficients; first_order, if given, is a permutation of col_order.
+    The labels are numbered once, by position in col_order, and the result
+    is keyed by label again: pivots maps each pivot label to its row.  It
+    is the unique RREF of the row space under col_order, certified exactly
+    over Q.  With first_order, each prime first eliminates the rows in that
+    order and then the resulting echelon rows in col_order; the result is
+    the same.
     """
-    for order in (col_order, first_order):
-        if order is not None and sorted(order) != list(range(m.n_cols)):
-            raise ValueError("column order is not a permutation of the "
-                             "columns")
     pos = {c: i for i, c in enumerate(col_order)}
-    rows = [r for r in map(_to_int_row, m.rows) if r]
+    if len(pos) != len(col_order):
+        raise ValueError("column order lists a label twice")
+    try:
+        first = None if first_order is None else [pos[c] for c in first_order]
+        keyed = ({pos[c]: v for c, v in row.items()} for row in rows)
+        int_rows = [r for r in map(_to_int_row, keyed) if r]
+    except KeyError as exc:
+        raise ValueError(f"label {exc.args[0]!r} is not in the column "
+                         "order") from None
+    if first is not None and sorted(first) != list(range(len(pos))):
+        raise ValueError("first_order is not a permutation of col_order")
 
     best_key = None
     modulus = 1
     tails: dict[int, dict[int, int]] = {}
     for p in _primes():
-        work = rows
-        if first_order is not None:
-            work = [{c: 1, **r} for c, r in _eliminate(rows, first_order, p)]
-        echelon = _eliminate(work, col_order, p)
-        key = (-len(echelon), [pos[c] for c, _ in echelon])
+        work = int_rows
+        if first is not None:
+            work = [{c: 1, **r} for c, r in _eliminate(int_rows, first, p)]
+        echelon = _eliminate(work, range(len(pos)), p)
+        key = (-len(echelon), [c for c, _ in echelon])
         if best_key is not None and key > best_key:
             continue                      # unlucky prime: worse pivots
         if key != best_key:
@@ -269,22 +267,21 @@ def rref(m: SparseMatrix, col_order: Sequence[int],
                 old[k] = x + modulus * ((row.get(k, 0) - x) * minv % p)
         modulus *= p
         lifted = _lift(tails, modulus)
-        if lifted is not None and _certify(rows, lifted, pos):
+        if lifted is not None and _certify(int_rows, lifted):
             break
     else:
         raise ArithmeticError("no lift certified with the known primes")
 
-    pivots: dict[int, int] = {}
-    out: list[dict[int, Fraction]] = []
+    pivots: dict[Hashable, int] = {}
+    out: list[dict[Hashable, Fraction]] = []
     for c, _ in echelon:
-        row = {c: Fraction(1)}
-        row.update(lifted[c])
-        pivots[c] = len(out)
+        row = {col_order[c]: Fraction(1)}
+        row.update((col_order[k], v) for k, v in lifted[c].items())
+        pivots[col_order[c]] = len(out)
         out.append(row)
     return EchelonForm(pivots, out)
 
 
 def rank(m: SparseMatrix) -> int:
-    """Rank of m: the pivot count of its RREF in reversed column order."""
-    return rref(m, range(m.n_cols - 1, -1, -1)).rank
-
+    """Rank of m: the pivot count of its RREF in reversed label order."""
+    return rref(m.rows, m.column_labels[::-1]).rank

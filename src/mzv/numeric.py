@@ -245,7 +245,9 @@ MAX_DIGITS = 1000
 
 
 def check_tolerance(tol):
-    """tol as an mpf; ValueError unless it is finite and positive."""
+    """tol, a number or its decimal text, as an mpf (text is read at the
+    working precision, so it may lie below the float range); ValueError
+    unless it is finite and positive."""
     tol = mp.mpf(tol)
     if not (mp.isfinite(tol) and tol > 0):
         raise ValueError(f"tolerance must be finite and positive, got {tol}")

@@ -111,13 +111,6 @@ def double_shuffle_relation(w1: Word, w0: Word) -> LinComb:
     return reg(sh - st)
 
 
-def _rows_to_matrix(n: int, rows: list[LinComb]) -> SparseMatrix:
-    cols = h2_words(n)
-    index = {w: i for i, w in enumerate(cols)}
-    return SparseMatrix(len(cols), cols,
-                        ({index[w]: c for w, c in r.items()} for r in rows))
-
-
 def knt_system(n: int) -> SparseMatrix:
     """Relation rows for w1 in H2 and w0 in the fixed four-word set, at
     weight n; columns are the 2^(n-2) H2 words of length n."""
@@ -130,7 +123,7 @@ def knt_system(n: int) -> SparseMatrix:
             continue
         for w1 in h2_words(k):
             rows.append(double_shuffle_relation(w1, w0))
-    return _rows_to_matrix(n, rows)
+    return SparseMatrix(h2_words(n), rows)
 
 
 def full_system(n: int) -> SparseMatrix:
@@ -149,4 +142,4 @@ def full_system(n: int) -> SparseMatrix:
                 if sym and not (w1 <= w0):
                     continue
                 rows.append(double_shuffle_relation(w1, w0))
-    return _rows_to_matrix(n, rows)
+    return SparseMatrix(h2_words(n), rows)

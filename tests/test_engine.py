@@ -30,7 +30,7 @@ from mzv.engine import (
     parse_generator_poly,
     verify_identity,
 )
-from mzv.linalg import SparseMatrix, rref
+from mzv.linalg import rref
 from mzv.lyndon import lyndon_words, radford_decompose_poly
 from mzv.regularize import knt_system
 from mzv.store import TableStore
@@ -279,13 +279,10 @@ def rules_from_direct_rref(n, prefer):
     key = PREFERENCES[prefer]
     mat = knt_system(n)
     words = mat.column_labels
-    ech = rref(mat, sorted(range(len(words)), key=lambda i: key(words[i]),
-                           reverse=True))
-    basis = tuple(sorted((w for i, w in enumerate(words)
-                          if i not in ech.pivots), key=key))
-    rules = {words[c]: LinComb({words[j]: -v for j, v in ech.rows[i].items()
-                                if j != c})
-             for c, i in ech.pivots.items()}
+    ech = rref(mat.rows, sorted(words, key=key, reverse=True))
+    basis = tuple(sorted((w for w in words if w not in ech.pivots), key=key))
+    rules = {u: LinComb({w: -v for w, v in ech.rows[i].items() if w != u})
+             for u, i in ech.pivots.items()}
     return basis, rules
 
 
@@ -327,12 +324,9 @@ def freeness_from_raw_rows(n, cache):
     term by term."""
     key = PREFERENCES[cache.preference]
     singles = [l for l in lyndon_words(n) if in_h2(l)]
-    mat = knt_system(n)
-    words = mat.column_labels
     rows = []
-    for row in mat.rows:
-        lp = radford_decompose_poly(
-            LinComb({words[c]: v for c, v in row.items()}))
+    for row in knt_system(n).rows:
+        lp = radford_decompose_poly(LinComb(row))
         out = LinComb.zero()
         for mono, coeff in lp.items():
             if len(mono) == 1:
@@ -346,13 +340,10 @@ def freeness_from_raw_rows(n, cache):
     labels = [("s", l) for l in sorted(singles, key=key, reverse=True)] + \
         [("p", g) for g in sorted({k[1] for r in rows for k in r
                                    if k[0] == "p"})]
-    index = {k: i for i, k in enumerate(labels)}
-    ech = rref(SparseMatrix(len(labels), rows=(
-        {index[k]: v for k, v in r.items()} for r in rows)),
-        range(len(labels)))
-    survivors = sorted((l for l in singles if index[("s", l)] not in
-                        ech.pivots), key=key)
-    bad = tuple(labels[c][1] for c in ech.pivots if labels[c][0] == "p")
+    ech = rref(rows, labels)
+    survivors = sorted((l for l in singles if ("s", l) not in ech.pivots),
+                       key=key)
+    bad = tuple(g for kind, g in ech.pivots if kind == "p")
     return FreenessReport(n, not bad, tuple(survivors), bad)
 
 

@@ -39,12 +39,12 @@ def det(rows: list[list[Fraction]]) -> Fraction:
 
 
 def rank_oracle(m: SparseMatrix) -> int:
-    dense = [[Fraction(r.get(c, 0)) for c in range(m.n_cols)]
-             for r in m.rows]
+    n_cols = len(m.column_labels)
+    dense = [[Fraction(r.get(c, 0)) for c in range(n_cols)] for r in m.rows]
     best = 0
-    for k in range(min(len(dense), m.n_cols), 0, -1):
+    for k in range(min(len(dense), n_cols), 0, -1):
         for ri in combinations(range(len(dense)), k):
-            for ci in combinations(range(m.n_cols), k):
+            for ci in combinations(range(n_cols), k):
                 sub = [[dense[i][j] for j in ci] for i in ri]
                 if det(sub):
                     return k
@@ -58,7 +58,7 @@ def rref_oracle(m: SparseMatrix, order: list[int], p: int | None = None):
         return v if p is None else v % p
 
     work = [[Fraction(r.get(c, 0)) if p is None else r.get(c, 0) % p
-             for c in range(m.n_cols)] for r in m.rows]
+             for c in range(len(m.column_labels))] for r in m.rows]
     done: list[tuple[int, list[Fraction]]] = []
     for c in order:
         i = next((i for i, r in enumerate(work) if r[c]), None)
@@ -77,10 +77,8 @@ def rref_oracle(m: SparseMatrix, order: list[int], p: int | None = None):
 
 
 def from_dense(rows, n_cols) -> SparseMatrix:
-    m = SparseMatrix(n_cols)
-    for r in rows:
-        m.add_row({c: v for c, v in enumerate(r) if v})
-    return m
+    return SparseMatrix(list(range(n_cols)),
+                        [{c: v for c, v in enumerate(r) if v} for r in rows])
 
 
 matrices_st = st.integers(1, 4).flatmap(
@@ -97,27 +95,27 @@ matrices_st = st.integers(1, 4).flatmap(
 def test_identity_any_order():
     m = from_dense([[1, 0, 0], [0, 1, 0], [0, 0, 1]], 3)
     for order in ([0, 1, 2], [2, 1, 0], [1, 2, 0]):
-        e = rref(m, order)
+        e = rref(m.rows, order)
         assert e.rank == 3
         assert set(e.pivots) == {0, 1, 2}
 
 
 def test_zero_matrix():
     m = from_dense([[0, 0], [0, 0]], 2)
-    e = rref(m, [0, 1])
+    e = rref(m.rows, [0, 1])
     assert e.rank == 0 and rank(m) == 0
 
 
 def test_dependent_rows():
     m = from_dense([[1, 2], [2, 4]], 2)
-    e = rref(m, [0, 1])
+    e = rref(m.rows, [0, 1])
     assert e.rank == 1
     assert e.rows[e.pivots[0]] == {0: 1, 1: 2}
 
 
 def test_pivot_normalized_and_cleared():
     m = from_dense([[2, 1, 1], [4, 1, 0]], 3)
-    e = rref(m, [0, 1, 2])
+    e = rref(m.rows, [0, 1, 2])
     for c, i in e.pivots.items():
         assert e.rows[i][c] == 1
         for i2 in range(len(e.rows)):
@@ -127,8 +125,8 @@ def test_pivot_normalized_and_cleared():
 
 def test_col_order_changes_pivots_not_rank():
     m = from_dense([[1, 1, 0], [0, 1, 1]], 3)
-    e1 = rref(m, [0, 1, 2])
-    e2 = rref(m, [2, 1, 0])
+    e1 = rref(m.rows, [0, 1, 2])
+    e2 = rref(m.rows, [2, 1, 0])
     assert e1.rank == e2.rank == 2
     assert set(e1.pivots) == {0, 1}
     assert set(e2.pivots) == {2, 1}
@@ -137,29 +135,35 @@ def test_col_order_changes_pivots_not_rank():
 def test_unlucky_first_prime():
     p0 = next(_primes())
     # equal rows mod p0, independent over Q
-    e = rref(from_dense([[1, 1], [1, 1 + p0]], 2), [0, 1])
+    e = rref(from_dense([[1, 1], [1, 1 + p0]], 2).rows, [0, 1])
     assert e.pivots == {0: 0, 1: 1}
     assert e.rows == [{0: 1}, {1: 1}]
     # p0 divides the first row's content and the second row's denominator
     m = from_dense([[p0, 2 * p0, 0], [0, 1, Fraction(1, p0)]], 3)
-    e = rref(m, [0, 1, 2])
+    e = rref(m.rows, [0, 1, 2])
     assert e.pivots == {0: 0, 1: 1}
     assert e.rows == [{0: 1, 2: Fraction(-2, p0)}, {1: 1, 2: Fraction(1, p0)}]
 
 
 def test_rejects_bad_col_order():
-    m = from_dense([[1]], 1)
-    with pytest.raises(ValueError):
-        rref(m, [0, 0])
-    with pytest.raises(ValueError):
-        rref(m, [0], first_order=[1])
+    rows = [{"a": 1, "b": 2}]
+    with pytest.raises(ValueError, match="twice"):
+        rref(rows, ["a", "b", "a"])
+    for first in (["a"], ["a", "a"], ["a", "c"], ["a", "b", "c"]):
+        with pytest.raises(ValueError):
+            rref(rows, ["a", "b"], first_order=first)
+    # a row label the order does not list, even with coefficient 0
+    for row in ({"a": 1, "c": 2}, {"a": 1, "c": 0}):
+        with pytest.raises(ValueError, match="'c' is not in the column"):
+            rref([row], ["a", "b"])
 
 
 def test_exact_cancellation_leaves_a_multiple_of_p():
     # the normalized pivot row is (1, (p+1)/2), so the rows below it keep
     # -p and -2p at column 1 until they are reduced
     m = from_dense([[2, 1], [2, 1], [4, 2]], 2)
-    for e in (rref(m, [0, 1]), rref(m, [0, 1], first_order=[1, 0])):
+    for e in (rref(m.rows, [0, 1]),
+              rref(m.rows, [0, 1], first_order=[1, 0])):
         assert e.pivots == {0: 0}
         assert e.rows == [{0: 1, 1: Fraction(1, 2)}]
 
@@ -176,7 +180,7 @@ def test_rref_raises_when_the_primes_run_out(monkeypatch):
     # one 89-bit prime lifts a/b with |a|, b <= 2^44 only
     monkeypatch.setattr(linalg, "_MERSENNE_EXPONENTS", (89,))
     with pytest.raises(ArithmeticError):
-        rref(SparseMatrix(2, rows=[{0: 2**50, 1: 1}]), [0, 1])
+        rref([{0: 2**50, 1: 1}], [0, 1])
 
 
 int_rows_st = st.integers(1, 5).flatmap(
@@ -227,11 +231,11 @@ def test_rank_invariances(m, rng):
     for row in rows:
         k = Fraction(rng.choice([1, 2, 3, -1, -5]), rng.choice([1, 2, 7]))
         scaled.append({c: k * v for c, v in row.items()})
-    m2 = SparseMatrix(m.n_cols, rows=scaled)
+    m2 = SparseMatrix(m.column_labels, scaled)
     assert rank(m2) == r
-    order = list(range(m.n_cols))
+    order = list(m.column_labels)
     rng.shuffle(order)
-    assert rref(m, order).rank == r
+    assert rref(m.rows, order).rank == r
 
 
 big_matrices_st = st.integers(1, 5).flatmap(
@@ -252,10 +256,33 @@ big_matrices_st = st.integers(1, 5).flatmap(
 def test_rref_matches_gauss_jordan_oracle(case):
     m, order = case
     pivots, rows = rref_oracle(m, order)
-    e = rref(m, order)
+    e = rref(m.rows, order)
     assert list(e.pivots) == pivots
     assert e.pivots == {c: i for i, c in enumerate(pivots)}
     assert e.rows == [rows[c] for c in pivots]
+
+
+# str and tuple labels mixed in one order: rref never compares two labels
+labels_st = st.one_of(st.text(max_size=3),
+                      st.tuples(st.integers(0, 3), st.text(max_size=2)))
+
+
+@given(big_matrices_st, st.data())
+@settings(max_examples=60, deadline=None)
+def test_labelled_rref_is_the_integer_rref_relabelled(case, data):
+    m, order = case
+    first = data.draw(st.permutations(order))
+    labels = data.draw(st.lists(labels_st, min_size=len(order),
+                                max_size=len(order), unique=True))
+    rows = [{labels[c]: v for c, v in r.items()} for r in m.rows]
+    for f in (None, first):
+        e = rref(m.rows, order, f)
+        le = rref(rows, [labels[c] for c in order],
+                  None if f is None else [labels[c] for c in f])
+        assert list(le.pivots.items()) == \
+            [(labels[c], i) for c, i in e.pivots.items()]
+        assert [list(r.items()) for r in le.rows] == \
+            [[(labels[c], v) for c, v in r.items()] for r in e.rows]
 
 
 @given(int_rows_st)
@@ -272,7 +299,8 @@ def test_rref_with_small_primes_matches_gauss_jordan_oracle(case):
     pivots, rows = rref_oracle(m, order)
     with patch.object(linalg, "_MERSENNE_EXPONENTS",
                       (2, 3, 5, 7, 13, 17, 19, 31, 61, 89)):
-        for e in (rref(m, order), rref(m, order, first_order=order[::-1])):
+        for e in (rref(m.rows, order),
+                  rref(m.rows, order, first_order=order[::-1])):
             assert e.pivots == {c: i for i, c in enumerate(pivots)}
             assert e.rows == [rows[c] for c in pivots]
 
@@ -280,18 +308,17 @@ def test_rref_with_small_primes_matches_gauss_jordan_oracle(case):
 def test_certificate_rejects_a_lift_not_in_reduced_echelon_form():
     # e_1 + e_0 spans the row as e_0 + e_1 does, but its pivot 1 comes after
     # its entry at column 0: only the echelon check tells it from the RREF
-    rows, pos = [{0: 1, 1: 1}], {0: 0, 1: 1}
-    assert _certify(rows, {0: {1: Fraction(1)}}, pos)
-    assert not _certify(rows, {1: {0: Fraction(1)}}, pos)
+    rows = [{0: 1, 1: 1}]
+    assert _certify(rows, {0: {1: Fraction(1)}})
+    assert not _certify(rows, {1: {0: Fraction(1)}})
 
 
 @given(matrices_st)
 @settings(max_examples=40, deadline=None)
 def test_rref_idempotent(m):
-    order = list(range(m.n_cols))
-    e = rref(m, order)
-    m2 = SparseMatrix(m.n_cols, rows=e.rows)
-    e2 = rref(m2, order)
+    order = list(m.column_labels)
+    e = rref(m.rows, order)
+    e2 = rref(e.rows, order)
     assert e2.pivots.keys() == e.pivots.keys()
     assert sorted(map(sorted, (r.items() for r in e2.rows))) == \
         sorted(map(sorted, (r.items() for r in e.rows)))
@@ -302,13 +329,13 @@ def test_rref_idempotent(m):
 def test_rref_of_an_rref_in_another_order(m, data):
     # the RREF of a row space is unique for a column order, so it does not
     # matter which echelon form of the same rows the elimination starts from
-    o1 = data.draw(st.permutations(range(m.n_cols)))
-    o2 = data.draw(st.permutations(range(m.n_cols)))
-    e = rref(SparseMatrix(m.n_cols, rows=rref(m, o1).rows), o2)
-    direct = rref(m, o2)
+    o1 = data.draw(st.permutations(m.column_labels))
+    o2 = data.draw(st.permutations(m.column_labels))
+    e = rref(rref(m.rows, o1).rows, o2)
+    direct = rref(m.rows, o2)
     assert e.pivots == direct.pivots
     assert e.rows == direct.rows
-    staged = rref(m, o2, first_order=o1)
+    staged = rref(m.rows, o2, first_order=o1)
     assert staged.pivots == direct.pivots
     assert staged.rows == direct.rows
 
@@ -317,8 +344,8 @@ def test_rref_of_an_rref_in_another_order(m, data):
 @settings(max_examples=40, deadline=None)
 def test_row_space_preserved(m):
     # every original row reduces to zero against the echelon rows
-    order = list(range(m.n_cols))
-    e = rref(m, order)
+    order = list(m.column_labels)
+    e = rref(m.rows, order)
     pos = {c: i for i, c in enumerate(order)}
     for row in m.rows:
         work = {c: Fraction(v) for c, v in row.items()}

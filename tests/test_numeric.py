@@ -30,6 +30,11 @@ def ref(expr_dps60):
         return mpf(expr_dps60())
 
 
+def ref_error(r):
+    """Error of a reference r computed at 60 digits, about 10^-59 |r|."""
+    return mpf("1e-59") * abs(r)
+
+
 # classical values: Euler for single even arguments, ζ(2,1)=ζ(3),
 # ζ(3,1)=π⁴/360, ζ(2,2)=π⁴/120, ζ(2,1,1)=ζ(4)
 REFERENCES = {
@@ -53,7 +58,8 @@ def test_values_against_closed_forms(monkeypatch):
         for target in (1e-6, 1e-10, 1e-14):
             nv = mzv_numeric(comp, target)
             assert nv.abs_error_bound <= mpf(target), comp
-            assert abs(nv.value - r) <= nv.abs_error_bound, (comp, target)
+            assert abs(nv.value - r) <= nv.abs_error_bound + ref_error(r), \
+                (comp, target)
 
 
 def test_bound_honesty_at_high_precision(monkeypatch):
@@ -63,7 +69,7 @@ def test_bound_honesty_at_high_precision(monkeypatch):
             r = mpf(euler_even_zeta(s).numerator) \
                 / euler_even_zeta(s).denominator * pi ** s
         nv = mzv_numeric((s,), 1e-20)
-        assert abs(nv.value - r) <= nv.abs_error_bound
+        assert abs(nv.value - r) <= nv.abs_error_bound + ref_error(r)
 
 
 def test_a_huge_part_takes_no_powers():
