@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import sys
 
 from . import conjectures, engine, store
@@ -54,12 +55,14 @@ def _check_degree(args, n: int, low: int = 2) -> None:
 
 def _tolerance_text(text: str) -> str:
     # kept as text, which numeric.check_tolerance reads in mpf: that reaches
-    # below the float range, where float() would give 0.0
+    # below the float range, where float() would give 0.0.  An infinity or
+    # nan goes on as float() prints it, since mpf does not read every
+    # spelling float() does ("infinity", "+nan")
     try:
-        float(text)
+        value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
-    return text
+    return text if math.isfinite(value) else str(value)
 
 
 def _cache(args):

@@ -197,12 +197,10 @@ def echelonize_degree(n: int, cache=None) -> RewriteTable:
     low_fill = sorted(words, key=lambda w: (-w.count("1"), w[::-1]))
     ech = rref(mat.rows, sorted(words, key=key, reverse=True),
                first_order=low_fill)
-    basis_words = tuple(sorted((w for w in words if w not in ech.pivots),
-                               key=key))
+    basis_words = tuple(sorted((w for w in words if w not in ech), key=key))
     rules: dict[Word, LinComb] = {}
-    for u, i in ech.pivots.items():
-        rules[u] = LinComb._raw(
-            {w: -v for w, v in ech.rows[i].items() if w != u})
+    for u, row in ech.items():
+        rules[u] = LinComb._raw({w: -v for w, v in row.items() if w != u})
     table = RewriteTable(n, basis_words, rules, {}, ())
 
     # rows: basis coordinates; columns: the product values, then the unit
@@ -223,13 +221,12 @@ def echelonize_degree(n: int, cache=None) -> RewriteTable:
     gen_map: dict[Word, LinComb] = {}
     new_gens: list[Word] = []
     for b, u in zip(basis_words, units):
-        if u in res.pivots:
+        if u in res:
             new_gens.append(b)
             gen_map[b] = LinComb.term(u)
         else:
-            gen_map[b] = LinComb._raw({g: res.rows[r][u]
-                                       for g, r in res.pivots.items()
-                                       if u in res.rows[r]})
+            gen_map[b] = LinComb._raw({g: row[u] for g, row in res.items()
+                                       if u in row})
 
     table = RewriteTable(n, basis_words, rules, gen_map, tuple(new_gens))
     cache.put(table)
@@ -322,7 +319,7 @@ def check_polynomial_freeness(n: int, cache=None) -> FreenessReport:
         gp = LinComb.term(())
         for f in mono:
             gp = gp_mul(gp, factor(f))
-        den = lcm(*(Fraction(v).denominator for v in gp.values()))
+        den = lcm(*(v.denominator for v in gp.values()))
         return {("p", g): int(v * den) for g, v in gp.items()}, den
 
     # one row per rule u -> sum c_b b: phi(u - sum c_b b), substituted
@@ -345,9 +342,9 @@ def check_polynomial_freeness(n: int, cache=None) -> FreenessReport:
     ech = rref(sub_rows,
                [("s", l) for l in single_cols] + sorted(product_cols))
 
-    survivors = [l for l in single_cols if ("s", l) not in ech.pivots]
+    survivors = [l for l in single_cols if ("s", l) not in ech]
     survivors.sort(key=key)
-    bad = tuple(g for kind, g in ech.pivots if kind == "p")
+    bad = tuple(g for kind, g in ech if kind == "p")
     return FreenessReport(n, not bad, tuple(survivors), bad)
 
 

@@ -4,7 +4,9 @@ Rows are sparse mappings column label -> coefficient, where a label is any
 hashable value.  `rref` computes the reduced row echelon form for a given
 column order with one modular kernel.  It numbers each label once, by its
 position in the column order, runs the kernel on those positions, and maps
-the result back to labels once on exit:
+the result back to labels once on exit.  The result is a dict from each
+pivot label, in the order the scan finds the pivots, to its row, pivot entry
+1 first.  The kernel:
 
 1. Each row is scaled to integers and divided by its content.
 2. The integer rows are eliminated modulo a prime p in column order; within
@@ -50,7 +52,7 @@ prime whose pivot set is worse (lower rank, or later pivots in the column
 order) is unlucky and dropped; one with a better pivot set replaces those
 gathered so far.
 
-`rank` is the pivot count of `rref` in reversed column-label order.
+`rank` is the number of pivots `rref` finds in reversed column-label order.
 """
 
 from __future__ import annotations
@@ -62,7 +64,6 @@ from typing import (Hashable, Iterable, Iterator, Mapping, NamedTuple,
 
 __all__ = [
     "SparseMatrix",
-    "EchelonForm",
     "rref",
     "rank",
 ]
@@ -72,17 +73,6 @@ class SparseMatrix(NamedTuple):
     """Rows of sparse rational coefficients keyed by column label."""
     column_labels: Sequence[Hashable]
     rows: list[Mapping[Hashable, object]]
-
-
-class EchelonForm:
-    def __init__(self, pivots: dict[Hashable, int],
-                 rows: list[dict[Hashable, Fraction]]):
-        self.pivots = pivots
-        self.rows = rows
-
-    @property
-    def rank(self) -> int:
-        return len(self.pivots)
 
 
 # ---------------------------------------------------------------------------
@@ -218,17 +208,18 @@ def _certify(rows: list[dict[int, int]],
 
 def rref(rows: Iterable[Mapping[Hashable, object]],
          col_order: Sequence[Hashable],
-         first_order: Sequence[Hashable] | None = None) -> EchelonForm:
+         first_order: Sequence[Hashable] | None = None
+         ) -> dict[Hashable, dict[Hashable, Fraction]]:
     """Reduced row echelon form of rows, scanning pivot columns in col_order.
 
     A row maps column labels, each listed once in col_order, to rational
     coefficients; first_order, if given, is a permutation of col_order.
     The labels are numbered once, by position in col_order, and the result
-    is keyed by label again: pivots maps each pivot label to its row.  It
-    is the unique RREF of the row space under col_order, certified exactly
-    over Q.  With first_order, each prime first eliminates the rows in that
-    order and then the resulting echelon rows in col_order; the result is
-    the same.
+    is keyed by label again: a dict from each pivot label, in scan order, to
+    its row, the pivot entry Fraction(1) first.  It is the unique RREF of
+    the row space under col_order, certified exactly over Q.  With
+    first_order, each prime first eliminates the rows in that order and
+    then the resulting echelon rows in col_order; the result is the same.
     """
     pos = {c: i for i, c in enumerate(col_order)}
     if len(pos) != len(col_order):
@@ -272,16 +263,13 @@ def rref(rows: Iterable[Mapping[Hashable, object]],
     else:
         raise ArithmeticError("no lift certified with the known primes")
 
-    pivots: dict[Hashable, int] = {}
-    out: list[dict[Hashable, Fraction]] = []
+    out: dict[Hashable, dict[Hashable, Fraction]] = {}
     for c, _ in echelon:
-        row = {col_order[c]: Fraction(1)}
+        row = out[col_order[c]] = {col_order[c]: Fraction(1)}
         row.update((col_order[k], v) for k, v in lifted[c].items())
-        pivots[col_order[c]] = len(out)
-        out.append(row)
-    return EchelonForm(pivots, out)
+    return out
 
 
 def rank(m: SparseMatrix) -> int:
     """Rank of m: the pivot count of its RREF in reversed label order."""
-    return rref(m.rows, m.column_labels[::-1]).rank
+    return len(rref(m.rows, m.column_labels[::-1]))

@@ -186,7 +186,7 @@ def radford_decompose_poly(p: LinComb) -> LinComb:
     only touches words smaller than the one it pops.
     """
     result: dict[LyndonMonomial, Fraction] = {}
-    den = lcm(1, *(Fraction(c).denominator for c in p.values()))
+    den = lcm(1, *(c.denominator for c in p.values()))
     work = {w: int(c * den) for w, c in p.items()}
     # max-heap on (length, word): within a length, binary value is lex order
     heap = [(-len(w), -int(w or "0", 2), w) for w in work]

@@ -278,6 +278,10 @@ def mzv_numeric(comp, target_abs_err=1e-10) -> NumericValue:
         if bound <= target:
             _value_cache[comp] = out = NumericValue(comp, value, bound)
             return out
+    # an mpf target prints as at the default precision, whatever the
+    # working precision of the caller; a text target prints as typed
+    if isinstance(target_abs_err, mp.mpf):
+        target_abs_err = mp.nstr(target_abs_err, 15)
     raise ArithmeticError(
         f"could not reach target {target_abs_err} for {comp}")
 

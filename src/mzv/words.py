@@ -25,7 +25,6 @@ that merge the two leading parts y_i, y_j into y_{i+j}.
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 from itertools import product as _cartesian
 from typing import Callable, Hashable, Mapping
 
@@ -352,8 +351,7 @@ def _format_terms(pairs: list[tuple[str, object]]) -> str:
     if not pairs:
         return "0"
     out = []
-    for text, coeff in pairs:
-        c = Fraction(coeff)
+    for text, c in pairs:
         sign = "-" if c < 0 else "+"
         mag = abs(c)
         if not text:

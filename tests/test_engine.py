@@ -280,9 +280,9 @@ def rules_from_direct_rref(n, prefer):
     mat = knt_system(n)
     words = mat.column_labels
     ech = rref(mat.rows, sorted(words, key=key, reverse=True))
-    basis = tuple(sorted((w for w in words if w not in ech.pivots), key=key))
-    rules = {u: LinComb({w: -v for w, v in ech.rows[i].items() if w != u})
-             for u, i in ech.pivots.items()}
+    basis = tuple(sorted((w for w in words if w not in ech), key=key))
+    rules = {u: LinComb({w: -v for w, v in row.items() if w != u})
+             for u, row in ech.items()}
     return basis, rules
 
 
@@ -341,9 +341,8 @@ def freeness_from_raw_rows(n, cache):
         [("p", g) for g in sorted({k[1] for r in rows for k in r
                                    if k[0] == "p"})]
     ech = rref(rows, labels)
-    survivors = sorted((l for l in singles if ("s", l) not in ech.pivots),
-                       key=key)
-    bad = tuple(g for kind, g in ech.pivots if kind == "p")
+    survivors = sorted((l for l in singles if ("s", l) not in ech), key=key)
+    bad = tuple(g for kind, g in ech if kind == "p")
     return FreenessReport(n, not bad, tuple(survivors), bad)
 
 

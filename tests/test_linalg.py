@@ -53,7 +53,7 @@ def rank_oracle(m: SparseMatrix) -> int:
 
 def rref_oracle(m: SparseMatrix, order: list[int], p: int | None = None):
     """Dense Gauss-Jordan over Fraction, or over the integers mod p when p
-    is given: (pivot columns, {pivot: row})."""
+    is given: {pivot: row}, pivots in scan order."""
     def red(v):
         return v if p is None else v % p
 
@@ -72,8 +72,7 @@ def rref_oracle(m: SparseMatrix, order: list[int], p: int | None = None):
         done = [(c2, [red(v - r[c] * pv) for v, pv in zip(r, prow)])
                 for c2, r in done]
         done.append((c, prow))
-    return ([c for c, _ in done],
-            {c: {k: v for k, v in enumerate(r) if v} for c, r in done})
+    return {c: {k: v for k, v in enumerate(r) if v} for c, r in done}
 
 
 def from_dense(rows, n_cols) -> SparseMatrix:
@@ -95,54 +94,45 @@ matrices_st = st.integers(1, 4).flatmap(
 def test_identity_any_order():
     m = from_dense([[1, 0, 0], [0, 1, 0], [0, 0, 1]], 3)
     for order in ([0, 1, 2], [2, 1, 0], [1, 2, 0]):
-        e = rref(m.rows, order)
-        assert e.rank == 3
-        assert set(e.pivots) == {0, 1, 2}
+        assert list(rref(m.rows, order)) == order
 
 
 def test_zero_matrix():
     m = from_dense([[0, 0], [0, 0]], 2)
-    e = rref(m.rows, [0, 1])
-    assert e.rank == 0 and rank(m) == 0
+    assert rref(m.rows, [0, 1]) == {} and rank(m) == 0
 
 
 def test_dependent_rows():
     m = from_dense([[1, 2], [2, 4]], 2)
-    e = rref(m.rows, [0, 1])
-    assert e.rank == 1
-    assert e.rows[e.pivots[0]] == {0: 1, 1: 2}
+    assert rref(m.rows, [0, 1]) == {0: {0: 1, 1: 2}}
 
 
 def test_pivot_normalized_and_cleared():
     m = from_dense([[2, 1, 1], [4, 1, 0]], 3)
     e = rref(m.rows, [0, 1, 2])
-    for c, i in e.pivots.items():
-        assert e.rows[i][c] == 1
-        for i2 in range(len(e.rows)):
-            if i2 != i:
-                assert c not in e.rows[i2]
+    for c, row in e.items():
+        assert next(iter(row.items())) == (c, 1)
+        for c2, row2 in e.items():
+            if c2 != c:
+                assert c not in row2
 
 
 def test_col_order_changes_pivots_not_rank():
     m = from_dense([[1, 1, 0], [0, 1, 1]], 3)
-    e1 = rref(m.rows, [0, 1, 2])
-    e2 = rref(m.rows, [2, 1, 0])
-    assert e1.rank == e2.rank == 2
-    assert set(e1.pivots) == {0, 1}
-    assert set(e2.pivots) == {2, 1}
+    assert list(rref(m.rows, [0, 1, 2])) == [0, 1]
+    assert list(rref(m.rows, [2, 1, 0])) == [2, 1]
 
 
 def test_unlucky_first_prime():
     p0 = next(_primes())
     # equal rows mod p0, independent over Q
     e = rref(from_dense([[1, 1], [1, 1 + p0]], 2).rows, [0, 1])
-    assert e.pivots == {0: 0, 1: 1}
-    assert e.rows == [{0: 1}, {1: 1}]
+    assert list(e.items()) == [(0, {0: 1}), (1, {1: 1})]
     # p0 divides the first row's content and the second row's denominator
     m = from_dense([[p0, 2 * p0, 0], [0, 1, Fraction(1, p0)]], 3)
     e = rref(m.rows, [0, 1, 2])
-    assert e.pivots == {0: 0, 1: 1}
-    assert e.rows == [{0: 1, 2: Fraction(-2, p0)}, {1: 1, 2: Fraction(1, p0)}]
+    assert list(e.items()) == [(0, {0: 1, 2: Fraction(-2, p0)}),
+                               (1, {1: 1, 2: Fraction(1, p0)})]
 
 
 def test_rejects_bad_col_order():
@@ -164,8 +154,7 @@ def test_exact_cancellation_leaves_a_multiple_of_p():
     m = from_dense([[2, 1], [2, 1], [4, 2]], 2)
     for e in (rref(m.rows, [0, 1]),
               rref(m.rows, [0, 1], first_order=[1, 0])):
-        assert e.pivots == {0: 0}
-        assert e.rows == [{0: 1, 1: Fraction(1, 2)}]
+        assert e == {0: {0: 1, 1: Fraction(1, 2)}}
 
 
 def test_prime_sequence():
@@ -206,10 +195,8 @@ def test_eliminate_matches_gauss_jordan_mod_p(case):
         echelon = _eliminate([dict(r) for r in m.rows], order, p)
         for _, row in echelon:
             assert all(0 < v < p for v in row.values())
-        pivots, rows = rref_oracle(m, order, p)
-        assert [c for c, _ in echelon] == pivots
-        assert [{c: 1, **row} for c, row in echelon] == \
-            [rows[c] for c in pivots]
+        assert [(c, {c: 1, **row}) for c, row in echelon] == \
+            list(rref_oracle(m, order, p).items())
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +222,7 @@ def test_rank_invariances(m, rng):
     assert rank(m2) == r
     order = list(m.column_labels)
     rng.shuffle(order)
-    assert rref(m.rows, order).rank == r
+    assert len(rref(m.rows, order)) == r
 
 
 big_matrices_st = st.integers(1, 5).flatmap(
@@ -255,11 +242,8 @@ big_matrices_st = st.integers(1, 5).flatmap(
 @settings(max_examples=60, deadline=None)
 def test_rref_matches_gauss_jordan_oracle(case):
     m, order = case
-    pivots, rows = rref_oracle(m, order)
-    e = rref(m.rows, order)
-    assert list(e.pivots) == pivots
-    assert e.pivots == {c: i for i, c in enumerate(pivots)}
-    assert e.rows == [rows[c] for c in pivots]
+    assert list(rref(m.rows, order).items()) == \
+        list(rref_oracle(m, order).items())
 
 
 # str and tuple labels mixed in one order: rref never compares two labels
@@ -279,10 +263,9 @@ def test_labelled_rref_is_the_integer_rref_relabelled(case, data):
         e = rref(m.rows, order, f)
         le = rref(rows, [labels[c] for c in order],
                   None if f is None else [labels[c] for c in f])
-        assert list(le.pivots.items()) == \
-            [(labels[c], i) for c, i in e.pivots.items()]
-        assert [list(r.items()) for r in le.rows] == \
-            [[(labels[c], v) for c, v in r.items()] for r in e.rows]
+        assert [(k, list(r.items())) for k, r in le.items()] == \
+            [(labels[c], [(labels[k], v) for k, v in r.items()])
+             for c, r in e.items()]
 
 
 @given(int_rows_st)
@@ -296,13 +279,12 @@ def test_rref_with_small_primes_matches_gauss_jordan_oracle(case):
     # Hypothesis rejects function-scoped fixtures
     dense, order = case
     m = from_dense(dense, len(order))
-    pivots, rows = rref_oracle(m, order)
+    want = list(rref_oracle(m, order).items())
     with patch.object(linalg, "_MERSENNE_EXPONENTS",
                       (2, 3, 5, 7, 13, 17, 19, 31, 61, 89)):
         for e in (rref(m.rows, order),
                   rref(m.rows, order, first_order=order[::-1])):
-            assert e.pivots == {c: i for i, c in enumerate(pivots)}
-            assert e.rows == [rows[c] for c in pivots]
+            assert list(e.items()) == want
 
 
 def test_certificate_rejects_a_lift_not_in_reduced_echelon_form():
@@ -318,10 +300,7 @@ def test_certificate_rejects_a_lift_not_in_reduced_echelon_form():
 def test_rref_idempotent(m):
     order = list(m.column_labels)
     e = rref(m.rows, order)
-    e2 = rref(e.rows, order)
-    assert e2.pivots.keys() == e.pivots.keys()
-    assert sorted(map(sorted, (r.items() for r in e2.rows))) == \
-        sorted(map(sorted, (r.items() for r in e.rows)))
+    assert list(rref(e.values(), order).items()) == list(e.items())
 
 
 @given(matrices_st, st.data())
@@ -331,13 +310,9 @@ def test_rref_of_an_rref_in_another_order(m, data):
     # matter which echelon form of the same rows the elimination starts from
     o1 = data.draw(st.permutations(m.column_labels))
     o2 = data.draw(st.permutations(m.column_labels))
-    e = rref(rref(m.rows, o1).rows, o2)
-    direct = rref(m.rows, o2)
-    assert e.pivots == direct.pivots
-    assert e.rows == direct.rows
-    staged = rref(m.rows, o2, first_order=o1)
-    assert staged.pivots == direct.pivots
-    assert staged.rows == direct.rows
+    direct = list(rref(m.rows, o2).items())
+    assert list(rref(rref(m.rows, o1).values(), o2).items()) == direct
+    assert list(rref(m.rows, o2, first_order=o1).items()) == direct
 
 
 @given(matrices_st)
@@ -346,13 +321,12 @@ def test_row_space_preserved(m):
     # every original row reduces to zero against the echelon rows
     order = list(m.column_labels)
     e = rref(m.rows, order)
-    pos = {c: i for i, c in enumerate(order)}
     for row in m.rows:
         work = {c: Fraction(v) for c, v in row.items()}
         for c in order:
-            if c in work and c in e.pivots:
+            if c in work and c in e:
                 k = work[c]
-                for c2, v in e.rows[e.pivots[c]].items():
+                for c2, v in e[c].items():
                     s = work.get(c2, 0) - k * v
                     if s:
                         work[c2] = s
