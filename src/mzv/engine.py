@@ -49,6 +49,7 @@ pivots.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import re
 from collections.abc import Mapping
@@ -130,7 +131,13 @@ class RewriteTable(NamedTuple):
     basis_words: tuple[Word, ...]          # preference order
     rules: Mapping[Word, LinComb]          # non-basis word -> basis combination
     generator_map: dict[Word, LinComb]     # basis word -> generator polynomial
-    new_generators: tuple[Word, ...]
+
+    @property
+    def new_generators(self) -> tuple[Word, ...]:
+        """The basis words whose generator polynomial is their own
+        one-factor monomial, in basis order."""
+        return tuple(b for b in self.basis_words
+                     if self.generator_map[b] == {(word_to_comp(b),): 1})
 
     def coords(self, w: Word) -> LinComb:
         r = self.rules.get(w)
@@ -150,27 +157,18 @@ def _resolve(cache):
 # ---------------------------------------------------------------------------
 # table construction
 
-def _product_monomials(gens: list[Composition], n: int) -> list[GeneratorMonomial]:
-    """Multisets of at least two generators with total weight n, in
-    lexicographic order over the (weight-sorted) generator list."""
-    gens = sorted(gens, key=factor_key)
-    out: list[GeneratorMonomial] = []
-    cur: list[Composition] = []
-
-    def rec(i: int, rem: int) -> None:
-        if rem == 0:
-            if len(cur) >= 2:
-                out.append(tuple(cur))
-            return
-        for j in range(i, len(gens)):
-            wj = sum(gens[j])
-            if wj <= rem:
-                cur.append(gens[j])
-                rec(j, rem - wj)
-                cur.pop()
-
-    rec(0, n)
-    return out
+def _product_monomials(gens: list[Composition], rem: int):
+    """Multisets of the weight-sorted gens with total weight rem, in
+    lexicographic order over the list."""
+    for i, g in enumerate(gens):
+        w = sum(g)
+        if w > rem:
+            break
+        if w == rem:
+            yield (g,)
+        else:
+            for rest in _product_monomials(gens[i:], rem - w):
+                yield (g, *rest)
 
 
 def _product_value(mono: GeneratorMonomial, table: "RewriteTable") -> LinComb:
@@ -201,34 +199,26 @@ def echelonize_degree(n: int, cache=None) -> RewriteTable:
     rules: dict[Word, LinComb] = {}
     for u, row in ech.items():
         rules[u] = LinComb._raw({w: -v for w, v in row.items() if w != u})
-    table = RewriteTable(n, basis_words, rules, {}, ())
+    table = RewriteTable(n, basis_words, rules, {})
 
-    # rows: basis coordinates; columns: the product values, then the unit
-    # vector (the one-factor monomial) of each basis word in preference order
-    gens = [word_to_comp(w) for m in range(2, n)
-            for w in cache.get(m).new_generators]
-    monos = _product_monomials(gens, n)
+    # rows: basis coordinates; columns: the products of generators (all
+    # below weight n, so two or more factors), then the unit vector (the
+    # one-factor monomial) of each basis word in preference order
+    gens = sorted((word_to_comp(w) for m in range(2, n)
+                   for w in cache.get(m).new_generators), key=factor_key)
+    monos = list(_product_monomials(gens, n))
     units = [(word_to_comp(b),) for b in basis_words]
-    rows = [{u: 1} for u in units]
-    row_of = dict(zip(basis_words, rows))
+    row_of = {b: {u: 1} for b, u in zip(basis_words, units)}
     for mono in monos:
         for b, v in _product_value(mono, table).items():
             row_of[b][mono] = v
-    res = rref(rows, monos + units)
+    res = rref(row_of.values(), monos + units)
 
-    # a pivot basis column is a new generator; any other column is its own
-    # RREF column over the pivot columns before it
-    gen_map: dict[Word, LinComb] = {}
-    new_gens: list[Word] = []
+    # each basis word is its own RREF column over the pivot columns before
+    # it; a pivot column is its own unit vector, a new generator
     for b, u in zip(basis_words, units):
-        if u in res:
-            new_gens.append(b)
-            gen_map[b] = LinComb.term(u)
-        else:
-            gen_map[b] = LinComb._raw({g: row[u] for g, row in res.items()
-                                       if u in row})
-
-    table = RewriteTable(n, basis_words, rules, gen_map, tuple(new_gens))
+        table.generator_map[b] = LinComb._raw(
+            {g: row[u] for g, row in res.items() if u in row})
     cache.put(table)
     return table
 
@@ -303,7 +293,7 @@ def check_polynomial_freeness(n: int, cache=None) -> FreenessReport:
     cache = _resolve(cache)
     table = echelonize_degree(n, cache)
     key = PREFERENCES[cache.preference]
-    singles = lyndon_words(n)
+    singles = set(lyndon_words(n))
 
     @functools.cache
     def factor(l: Word) -> LinComb:
@@ -315,12 +305,12 @@ def check_polynomial_freeness(n: int, cache=None) -> FreenessReport:
         common denominator: a single stays, a product goes through the
         generator expressions of its factors."""
         if len(mono) == 1:
-            return {("s", mono[0]): 1}, 1
+            return {mono[0]: 1}, 1
         gp = LinComb.term(())
         for f in mono:
             gp = gp_mul(gp, factor(f))
         den = lcm(*(v.denominator for v in gp.values()))
-        return {("p", g): int(v * den) for g, v in gp.items()}, den
+        return {g: int(v * den) for g, v in gp.items()}, den
 
     # one row per rule u -> sum c_b b: phi(u - sum c_b b), substituted
     # and scaled to integers (a scale does not change the row space)
@@ -335,16 +325,15 @@ def check_polynomial_freeness(n: int, cache=None) -> FreenessReport:
             for k, v in sub.items():
                 row[k] = row.get(k, 0) + f * v
         sub_rows.append({k: v for k, v in row.items() if v})
-    product_cols = {k for row in sub_rows for k in row if k[0] == "p"}
 
-    # singles scanned first, least preferred first within them
+    # a column is a Lyndon word (a str) or a generator monomial (a tuple);
+    # singles are scanned first, least preferred first within them
     single_cols = sorted(singles, key=key, reverse=True)
-    ech = rref(sub_rows,
-               [("s", l) for l in single_cols] + sorted(product_cols))
+    product_cols = sorted(set().union(*sub_rows).difference(singles))
+    ech = rref(sub_rows, single_cols + product_cols)
 
-    survivors = [l for l in single_cols if ("s", l) not in ech]
-    survivors.sort(key=key)
-    bad = tuple(g for kind, g in ech if kind == "p")
+    survivors = sorted((l for l in singles if l not in ech), key=key)
+    bad = tuple(g for g in ech if g not in singles)
     return FreenessReport(n, not bad, tuple(survivors), bad)
 
 
@@ -393,10 +382,10 @@ def parse_generator_poly(text: str) -> LinComb:
     """Parse `9/2*z(5) - 2*z(2)*z(3)` style sums; bare rationals allowed."""
     expr, term, factor = _gen_grammar()
     if expr.fullmatch(text) is None:
-        # the first character that no valid expression continues with
-        pos = next(k for k in range(len(text), -1, -1)
-                   if any(expr.fullmatch(text[:k] + s)
-                          for s in _GEN_COMPLETIONS))
+        # the first character no valid expression continues with; prefixes
+        # of valid texts are closed under prefixes, so bisect for it
+        pos = bisect.bisect(range(len(text) + 1), False, key=lambda k: not any(
+            expr.fullmatch(text[:k] + s) for s in _GEN_COMPLETIONS)) - 1
         raise ValueError(f"bad generator polynomial at position {pos}")
     total = LinComb.zero()
     for m in term.finditer(text):

@@ -98,15 +98,15 @@ def _primes() -> Iterator[int]:
 
 
 def _eliminate(rows: list[dict[int, int]], col_order: Sequence[int],
-               p: int) -> list[tuple[int, dict[int, int]]]:
-    """RREF mod p: (pivot column, row without its pivot entry) in scan
+               p: int) -> dict[int, dict[int, int]]:
+    """RREF mod p: {pivot column: row without its pivot entry}, keys in scan
     order; each row holds only free columns later in col_order, as nonzero
     residues in [0, p).  The pivot of a column is the shortest row whose
     entry there is nonzero mod p; rows not yet chosen as pivots are reduced
     lazily (module docstring, step 2)."""
     active = [dict(r) for r in rows if r]
 
-    echelon: list[tuple[int, dict[int, int]]] = []
+    echelon: dict[int, dict[int, int]] = {}
     for c in col_order:
         if not active:
             break
@@ -132,21 +132,20 @@ def _eliminate(rows: list[dict[int, int]], col_order: Sequence[int],
             if row:
                 nxt.append(row)
         active = nxt
-        echelon.append((c, prow))
+        echelon[c] = prow
 
-    # back-substitution: later rows are already reduced
-    reduced: dict[int, dict[int, int]] = {}
-    for c, row in reversed(echelon):
-        for cj in [k for k in row if k in reduced]:
+    # back-substitution, last pivot first: a row holds only columns later
+    # than its pivot, so any pivot column in it is already reduced
+    for row in reversed(echelon.values()):
+        for cj in [k for k in row if k in echelon]:
             e = row.pop(cj)
             get = row.get
-            for k, v in reduced[cj].items():
+            for k, v in echelon[cj].items():
                 s = (get(k, 0) - e * v) % p
                 if s:
                     row[k] = s
                 else:
                     del row[k]
-        reduced[c] = row
     return echelon
 
 
@@ -240,18 +239,19 @@ def rref(rows: Iterable[Mapping[Hashable, object]],
     for p in _primes():
         work = int_rows
         if first is not None:
-            work = [{c: 1, **r} for c, r in _eliminate(int_rows, first, p)]
+            work = [{c: 1, **r}
+                    for c, r in _eliminate(int_rows, first, p).items()]
         echelon = _eliminate(work, range(len(pos)), p)
-        key = (-len(echelon), [c for c, _ in echelon])
+        key = (-len(echelon), list(echelon))
         if best_key is not None and key > best_key:
             continue                      # unlucky prime: worse pivots
         if key != best_key:
             best_key, modulus = key, 1
-            tails = {c: {} for c, _ in echelon}
+            tails = {c: {} for c in echelon}
         # Garner step: combine residues mod modulus with residues mod p; no
         # side stores a zero, so x, nonzero mod modulus or mod p, is never 0
         minv = pow(modulus, -1, p)
-        for c, row in echelon:
+        for c, row in echelon.items():
             old = tails[c]
             for k in set(old) | set(row):
                 x = old.get(k, 0)
@@ -264,9 +264,9 @@ def rref(rows: Iterable[Mapping[Hashable, object]],
         raise ArithmeticError("no lift certified with the known primes")
 
     out: dict[Hashable, dict[Hashable, Fraction]] = {}
-    for c, _ in echelon:
+    for c, tail in lifted.items():
         row = out[col_order[c]] = {col_order[c]: Fraction(1)}
-        row.update((col_order[k], v) for k, v in lifted[c].items())
+        row.update((col_order[k], v) for k, v in tail.items())
     return out
 
 

@@ -1,10 +1,11 @@
 """Persistent cache for rewrite tables.
 
-One text file per degree, self-validating via a trailing sha256 line and
-headed by the format and engine versions.  Files written by a different
-engine version fail the header check and are treated as missing, so a version
-bump silently forces recomputation.  Serialization is fully
-deterministic: wiping the cache and rebuilding reproduces identical bytes.
+One text file per degree, self-validating via a trailing sha256 line.  Its
+six header lines must be the writer's (`_header`) for the table it holds, so
+a version bump silently forces recomputation, and the `new` line names
+exactly the basis words whose `gen` line is their own one-factor monomial.
+Serialization is fully deterministic: wiping the cache and rebuilding
+reproduces identical bytes.
 
 A rule line reads `rule <word> = <expression>`, the expression a signed sum
 of one or more words, each with an optional coefficient `n*` or `n/d*`.  The
@@ -27,15 +28,16 @@ parses one rule or none.
 A load returns None, a miss that the engine rebuilds, for a file that:
 - cannot be read or decoded as text, or holds a character outside ASCII
   (the writer emits ASCII only);
-- has a bad checksum, or another format or engine version;
-- does not parse: a bad header, line, expression or generator polynomial,
-  a rule with no terms, a zero denominator, a zero coefficient or a
-  repeated word in one rule;
-- names another order than the store's;
+- has a bad checksum;
+- does not parse: a bad line, expression or generator polynomial, a rule
+  with no terms, a zero denominator, a zero coefficient or a repeated word
+  in one rule;
+- has a header other than the writer's for the table it holds: another
+  format or engine version, another order than the store's, a wrong
+  keyword, or a `new` line that disagrees with the `gen` lines;
 - speaks of another weight: a word or a generator monomial whose weight is
   not the file's, or a file name of another degree;
-- has generator lines for other words than the basis, or new generators
-  outside it;
+- has generator lines for other words than the basis;
 - does not cover its weight: a rule term that is not a basis word, a word
   that is both a rule head and a basis word, or rule heads and basis words
   that are not all 2**(degree-2) words of the weight.
@@ -141,8 +143,9 @@ class _Rules(Mapping):
         return len(self._rules)
 
 
-def _serialize(table: RewriteTable, preference: str) -> str:
-    lines = [
+def _header(table: RewriteTable, preference: str) -> list[str]:
+    """The six header lines the writer puts before the rules."""
+    return [
         f"mzv-table {FORMAT_VERSION}",
         f"engine {ENGINE_VERSION}",
         f"degree {table.degree}",
@@ -150,6 +153,10 @@ def _serialize(table: RewriteTable, preference: str) -> str:
         "basis " + " ".join(table.basis_words),
         "new " + " ".join(table.new_generators),
     ]
+
+
+def _serialize(table: RewriteTable, preference: str) -> str:
+    lines = _header(table, preference)
     for w in sorted(table.rules, key=word_sort_key):
         lines.append(f"rule {w} = {format_word_poly(table.rules[w])}")
     for b in table.basis_words:
@@ -168,12 +175,6 @@ def _deserialize(text: str, preference: str) -> RewriteTable | None:
     body = "\n".join(lines[:-1]) + "\n"
     if hashlib.sha256(body.encode()).hexdigest() != lines[-1].split()[1]:
         return None
-    if lines[0] != f"mzv-table {FORMAT_VERSION}":
-        return None
-    if lines[1] != f"engine {ENGINE_VERSION}":
-        return None
-    if lines[3] != f"preference {preference}":
-        return None
     # a body that passes the checksum can still be malformed, or speak of
     # another weight: treat it like a corrupt file, so it is rebuilt
     rule_line, rule_words = _grammar()
@@ -181,7 +182,6 @@ def _deserialize(text: str, preference: str) -> RewriteTable | None:
     try:
         degree = int(lines[2].split()[1])
         basis = tuple(lines[4].split()[1:])
-        new = tuple(lines[5].split()[1:])
         rules: dict[str, str] = {}
         terms: dict[str, set[str]] = {}
         gen_map: dict[str, LinComb] = {}
@@ -206,7 +206,7 @@ def _deserialize(text: str, preference: str) -> RewriteTable | None:
     except (ValueError, IndexError):
         return None
     basis_set = set(basis)
-    if set(gen_map) != basis_set or not basis_set.issuperset(new):
+    if set(gen_map) != basis_set:
         return None
     # the rules and the basis cover the weight's words: every rule term is
     # a basis word, and the rule heads and the basis words are distinct H2
@@ -223,7 +223,9 @@ def _deserialize(text: str, preference: str) -> RewriteTable | None:
     if any(monomial_weight(m) != degree
            for gp in gen_map.values() for m in gp):
         return None
-    return RewriteTable(degree, basis, _Rules(rules), gen_map, new)
+    table = RewriteTable(degree, basis, _Rules(rules), gen_map)
+    # the versions, the order and the new generators are the writer's
+    return table if lines[:6] == _header(table, preference) else None
 
 
 class TableStore:

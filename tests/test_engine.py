@@ -9,6 +9,7 @@ silent regressions in elimination order or basis preference.
 """
 
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
 from hypothesis import given, settings
@@ -18,9 +19,11 @@ from mzv.conjectures import n23_counts, zagier_dims
 from mzv.engine import (
     PREFERENCES,
     FreenessReport,
+    _product_monomials,
     Identity,
     canonical_monomial,
     check_polynomial_freeness,
+    factor_key,
     echelonize_degree,
     express_in_generators,
     format_generator_poly,
@@ -80,6 +83,23 @@ def test_new_generator_counts_match_necklace_counts(cache):
     for n in range(2, 10):
         t = echelonize_degree(n, cache)
         assert len(t.new_generators) == counts[n]
+
+
+def test_product_monomials_match_a_brute_force_filter():
+    # generators in the counts n23_counts gives through weight 16, each a
+    # distinct composition of its weight, sorted as the table build sorts
+    counts = n23_counts(16)
+    gens = sorted(((w - i,) + (1,) * i for w in range(2, 17)
+                   for i in range(counts[w])), key=factor_key)
+    for n in range(2, 17):
+        # every generator weighs at least 2, so k factors leave at most
+        # n - 2 * (k - 1) to any one of them
+        brute = [c for k in range(1, n // 2 + 1)
+                 for c in combinations_with_replacement(
+                     [g for g in gens if sum(g) <= n - 2 * (k - 1)], k)
+                 if sum(map(sum, c)) == n]
+        brute.sort(key=lambda c: [gens.index(g) for g in c])
+        assert list(_product_monomials(gens, n)) == brute, n
 
 
 def test_basis_words_prefer_low_depth_high_lead(cache):
@@ -385,6 +405,11 @@ def test_parse_errors_carry_position():
     for bad, pos in [("z(2, ", 5), (" *z(5)", 1), ("z(2) & z(3)", 5)]:
         with pytest.raises(ValueError, match=f"at position {pos}$"):
             parse_generator_poly(bad)
+    # on a long text the position is still that of the first bad character
+    head = "z(2)*z(3) - 1/2*z(5) + " * 500
+    bad = head + "z(2) & z(3)" + " + z(7,1,2)" * 500
+    with pytest.raises(ValueError, match=f"at position {len(head) + 5}$"):
+        parse_generator_poly(bad)
     # every prefix of a valid text fails, if at all, at its end
     text = " - 9 / 2 * z ( 5 , 1 ) z(3)*z(2) + 2 - z(4)\t"
     for k in range(len(text) + 1):

@@ -193,9 +193,9 @@ def test_eliminate_matches_gauss_jordan_mod_p(case):
     m = from_dense(dense, len(order))
     for p in (7, next(_primes())):
         echelon = _eliminate([dict(r) for r in m.rows], order, p)
-        for _, row in echelon:
+        for row in echelon.values():
             assert all(0 < v < p for v in row.values())
-        assert [(c, {c: 1, **row}) for c, row in echelon] == \
+        assert [(c, {c: 1, **row}) for c, row in echelon.items()] == \
             list(rref_oracle(m, order, p).items())
 
 

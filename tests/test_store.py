@@ -151,6 +151,10 @@ def test_stale_engine_version_is_a_miss(tmp_path):
     (6, "rule 011 = 0001"),
     (6, "rule 0011 = 001"),
     (5, "new 001 011"),
+    # the writer's header only: a new line that disagrees with the gen
+    # lines, and another keyword
+    (5, "new "),
+    (2, "weight 3"),
     # well-formed and of the right weight, but the rules and the basis do
     # not cover the weight's words: a rule term that is no basis word, and
     # a word with neither a rule nor a basis entry
@@ -175,6 +179,26 @@ def test_malformed_body_is_discarded_and_rebuilt(tmp_path, capsys,
                      "--degree", "3"])
     assert code == 0 and capsys.readouterr().out == \
         "degree 3: PASS, 1 new generator(s): (3)\n"
+    assert path.read_text() == good
+
+
+def test_new_line_that_disagrees_with_the_gen_lines_is_a_miss(
+        tables_to_10, tmp_path, capsys):
+    # z(7,1) in place of the weight-8 generator z(6,2): a weight-10 table
+    # built on that record would rewrite z(7,1,2) as itself
+    code = cli.main(["--cache-dir", str(tables_to_10), "rewrite", "7,1,2"])
+    want = capsys.readouterr().out
+    assert code == 0 and want != "z(7,1,2)\n"
+    for n in range(2, 9):
+        name = f"degree-{n:02d}.table"
+        (tmp_path / name).write_bytes((tables_to_10 / name).read_bytes())
+    path = tmp_path / "degree-08.table"
+    good = path.read_text()
+    assert good.splitlines()[5] == "new 00000101"
+    rewrite_line(path, 5, "new 00000011")
+    assert TableStore(tmp_path).get(8) is None
+    code = cli.main(["--cache-dir", str(tmp_path), "rewrite", "7,1,2"])
+    assert code == 0 and capsys.readouterr().out == want
     assert path.read_text() == good
 
 
@@ -496,7 +520,6 @@ def deserialize_eagerly(text, preference):
     try:
         degree = int(lines[2].split()[1])
         basis = tuple(lines[4].split()[1:])
-        new = tuple(lines[5].split()[1:])
         rules = {}
         gen_map = {}
         for line in lines[6:-1]:
@@ -511,7 +534,7 @@ def deserialize_eagerly(text, preference):
     except (ValueError, IndexError, ZeroDivisionError):
         return None
     basis_set = set(basis)
-    if set(gen_map) != basis_set or not basis_set.issuperset(new):
+    if set(gen_map) != basis_set:
         return None
     heads = basis_set.union(rules)
     if not set().union(*rules.values()) <= basis_set:
@@ -524,7 +547,10 @@ def deserialize_eagerly(text, preference):
     if any(monomial_weight(m) != degree
            for gp in gen_map.values() for m in gp):
         return None
-    return RewriteTable(degree, basis, rules, gen_map, new)
+    table = RewriteTable(degree, basis, rules, gen_map)
+    # the new line names the basis words that are their own generator
+    return table if lines[5] == "new " + " ".join(table.new_generators) \
+        else None
 
 
 _WRITTEN = {}
