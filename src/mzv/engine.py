@@ -387,7 +387,7 @@ def parse_generator_poly(text: str) -> LinComb:
         pos = bisect.bisect(range(len(text) + 1), False, key=lambda k: not any(
             expr.fullmatch(text[:k] + s) for s in _GEN_COMPLETIONS)) - 1
         raise ValueError(f"bad generator polynomial at position {pos}")
-    total = LinComb.zero()
+    total: dict = {}
     for m in term.finditer(text):
         sign, num, den = m.group(1, 2, 3)
         if den is not None and not int(den):
@@ -400,5 +400,10 @@ def parse_generator_poly(text: str) -> LinComb:
                                  f"{m.start(4) + f.start()}")
             factors.append(parts)
         coeff = Fraction(int(sign + (num or "1")), int(den or 1))
-        total = total + LinComb.term(canonical_monomial(factors), coeff)
-    return total
+        key = canonical_monomial(factors)
+        # as LinComb.__add__ does, so the keys keep the order of a fold
+        if s := total.get(key, 0) + coeff:
+            total[key] = s
+        else:
+            total.pop(key, None)
+    return LinComb._raw(total)

@@ -20,16 +20,15 @@ pivot label, in the order the scan finds the pivots, to its row, pivot entry
    reduced in full, its zero residues dropped, when it is chosen as a pivot.
    Pivot rows, back-substitution and the returned echelon hold residues in
    [0, p) and no zeros.
-3. Every entry is lifted to Q by Chinese remaindering over the primes used
-   so far and Wang's rational reconstruction: a/b with |a|, b <= sqrt(M/2),
-   M the product of those primes.
+3. Every entry is lifted to Q by Wang's rational reconstruction mod p:
+   a/b with |a|, b <= sqrt(p/2).
 4. The lift R is certified with integers only, before it is returned:
    - every raw row is orthogonal to the integer-scaled kernel vector
      e_f - sum_c R_c[f] e_c of each free column f, so the row space lies
      inside span(R);
    - the rank mod p is |R|, which is at most the rank over Q;
    - so span(R) is the row space, and R, checked to be in reduced echelon
-     form for the column order, is its unique RREF, whatever primes
+     form for the column order, is its unique RREF, whatever prime
      produced it.
 
 With `first_order`, each prime's pass eliminates the rows in that order
@@ -41,16 +40,18 @@ so the final pivot count is still the rank mod p of the raw rows, and the
 certificate above, run against the raw rows, holds unchanged.  Only the
 final echelon is lifted and certified.
 
-When reconstruction or the certificate fails, the next prime of a fixed
-sequence is added: the Mersenne primes 2^e - 1 for the exponents e of
-`_MERSENNE_EXPONENTS` (OEIS A000043 from 89), all known primes.  One
-89-bit prime lifts a/b with |a|, b up to 2^44: the RREFs of the relation
-systems through weight 14 need one pass (the largest numerator at weight 14
-is 0.61 of that bound).  The product of all of them lifts coefficients of
-about 80,000 bits; should it not suffice, `rref` raises ArithmeticError.  A
-prime whose pivot set is worse (lower rank, or later pivots in the column
-order) is unlucky and dropped; one with a better pivot set replaces those
-gathered so far.
+Each prime's pass stands alone.  When reconstruction or the certificate
+fails, the pass is dropped and the next prime of a fixed sequence is tried
+on its own: the Mersenne primes 2^e - 1 for the exponents e of
+`_MERSENNE_EXPONENTS` (OEIS A000043 from 89, without 107), all known
+primes.  A prime whose pivots differ from those over Q (a lower rank, or
+other columns) yields a lift the certificate rejects.  2^89 - 1 lifts a/b
+with |a|, b up to 2^44: the RREFs of the relation systems through weight
+14 need one pass (the largest numerator at weight 14 is 0.61 of that
+bound).  2^107 - 1 would lift only up to 2^53, short of the 58-bit
+numerators at weight 15, so the next prime is 2^127 - 1, which lifts up to
+2^63.  The last, 2^44497 - 1, lifts about 22,000 bits; should it not
+suffice, `rref` raises ArithmeticError.
 
 `rank` is the number of pivots `rref` finds in reversed column-label order.
 """
@@ -88,8 +89,8 @@ def _to_int_row(row: Mapping[int, object]) -> dict[int, int]:
     return ints if g == 1 else {c: v // g for c, v in ints.items()}
 
 
-_MERSENNE_EXPONENTS = (89, 107, 127, 521, 607, 1279, 2203, 2281, 3217, 4253,
-                       4423, 9689, 9941, 11213, 19937, 21701, 23209, 44497)
+_MERSENNE_EXPONENTS = (89, 127, 521, 607, 1279, 2203, 2281, 3217, 4253, 4423,
+                       9689, 9941, 11213, 19937, 21701, 23209, 44497)
 
 
 def _primes() -> Iterator[int]:
@@ -161,14 +162,14 @@ def _ratrec(u: int, m: int, bound: int) -> Fraction | None:
     return Fraction(r1, t1)
 
 
-def _lift(tails: dict[int, dict[int, int]],
-          m: int) -> dict[int, dict[int, Fraction]] | None:
-    bound = isqrt(m // 2)
+def _lift(echelon: dict[int, dict[int, int]],
+          p: int) -> dict[int, dict[int, Fraction]] | None:
+    bound = isqrt(p // 2)
     out = {}
-    for c, row in tails.items():
+    for c, row in echelon.items():
         lifted = {}
         for k, u in row.items():
-            q = _ratrec(u, m, bound)
+            q = _ratrec(u, p, bound)
             if q is None:
                 return None
             lifted[k] = q
@@ -233,31 +234,12 @@ def rref(rows: Iterable[Mapping[Hashable, object]],
     if first is not None and sorted(first) != list(range(len(pos))):
         raise ValueError("first_order is not a permutation of col_order")
 
-    best_key = None
-    modulus = 1
-    tails: dict[int, dict[int, int]] = {}
     for p in _primes():
         work = int_rows
         if first is not None:
             work = [{c: 1, **r}
                     for c, r in _eliminate(int_rows, first, p).items()]
-        echelon = _eliminate(work, range(len(pos)), p)
-        key = (-len(echelon), list(echelon))
-        if best_key is not None and key > best_key:
-            continue                      # unlucky prime: worse pivots
-        if key != best_key:
-            best_key, modulus = key, 1
-            tails = {c: {} for c in echelon}
-        # Garner step: combine residues mod modulus with residues mod p; no
-        # side stores a zero, so x, nonzero mod modulus or mod p, is never 0
-        minv = pow(modulus, -1, p)
-        for c, row in echelon.items():
-            old = tails[c]
-            for k in set(old) | set(row):
-                x = old.get(k, 0)
-                old[k] = x + modulus * ((row.get(k, 0) - x) * minv % p)
-        modulus *= p
-        lifted = _lift(tails, modulus)
+        lifted = _lift(_eliminate(work, range(len(pos)), p), p)
         if lifted is not None and _certify(int_rows, lifted):
             break
     else:

@@ -12,7 +12,7 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mzv.conjectures import n23_counts, zagier_dims
@@ -447,6 +447,33 @@ def test_parse_format_roundtrip(pairs):
     for mono, c in pairs:
         p = p + LinComb.term(mono, c)
     assert parse_generator_poly(format_generator_poly(p)) == p
+
+
+def signed_term_text(factors, num, den):
+    body = "".join(f"*z({','.join(map(str, f))})" for f in factors)
+    return f"{'-' if num < 0 else '+'} {abs(num)}/{den}{body}"
+
+
+# a few monomials drawn again and again, with coefficients that can be 0,
+# so terms repeat, cancel, and come back after they cancelled
+@given(st.lists(st.lists(comp_st, max_size=3), min_size=1, max_size=3)
+       .flatmap(lambda pool: st.lists(st.tuples(
+           st.sampled_from(pool), st.integers(-3, 3), st.integers(1, 3)),
+           max_size=12)))
+@example([([(2,)], 1, 1), ([(3,)], 1, 1), ([(2,)], -1, 1), ([(2,)], 2, 1),
+          ([(3,)], 0, 1), ([(5,), (3,)], 0, 2)])
+@settings(max_examples=300, deadline=None)
+def test_parse_sums_terms_as_the_linear_fold_did(terms):
+    # the fold parse_generator_poly used to run, kept as the oracle: the same
+    # coefficients in the same key order, the order identity_values sums in
+    text = " ".join(signed_term_text(*t) for t in terms) or "0"
+    old = LinComb.zero()
+    for factors, num, den in terms:
+        old = old + LinComb.term(canonical_monomial(factors),
+                                 Fraction(num, den))
+    new = parse_generator_poly(text)
+    assert type(new) is LinComb
+    assert list(new.items()) == list(old.items()), text
 
 
 # the scanner the compiled grammar replaced, kept as the oracle of the

@@ -3,7 +3,7 @@
 rank is cross-checked against a brute-force determinant-minor oracle for
 matrices with at most 8 columns, per the module contract; rref against a
 dense Fraction Gauss-Jordan oracle, with entries large enough that the
-modular kernel needs several primes.
+first primes do not lift the result.
 """
 
 from fractions import Fraction
@@ -159,7 +159,7 @@ def test_exact_cancellation_leaves_a_multiple_of_p():
 
 def test_prime_sequence():
     ps = list(_primes())
-    assert ps[:3] == [2**89 - 1, 2**107 - 1, 2**127 - 1]
+    assert ps[:3] == [2**89 - 1, 2**127 - 1, 2**521 - 1]
     assert all(q == 2**e - 1 for q, e in zip(ps, linalg._MERSENNE_EXPONENTS))
     assert len(ps) == len(linalg._MERSENNE_EXPONENTS)
     assert all(a < b for a, b in zip(ps, ps[1:]))
@@ -170,6 +170,17 @@ def test_rref_raises_when_the_primes_run_out(monkeypatch):
     monkeypatch.setattr(linalg, "_MERSENNE_EXPONENTS", (89,))
     with pytest.raises(ArithmeticError):
         rref([{0: 2**50, 1: 1}], [0, 1])
+
+
+def test_each_prime_lifts_on_its_own(monkeypatch):
+    # 2^89 - 1 and 2^107 - 1 alone lift only up to 2^44 and 2^53; their
+    # product would lift 1/2^60, but no pass combines two primes' residues
+    row = {0: 2**60, 1: 1}
+    monkeypatch.setattr(linalg, "_MERSENNE_EXPONENTS", (89, 107))
+    with pytest.raises(ArithmeticError):
+        rref([row], [0, 1])
+    monkeypatch.setattr(linalg, "_MERSENNE_EXPONENTS", (89, 127))
+    assert rref([row], [0, 1]) == {0: {0: 1, 1: Fraction(1, 2**60)}}
 
 
 int_rows_st = st.integers(1, 5).flatmap(
@@ -270,13 +281,14 @@ def test_labelled_rref_is_the_integer_rref_relabelled(case, data):
 
 @given(int_rows_st)
 # mod 3 the column-0 entry vanishes, so the certificate meets a free column
-# no rule mentions; mod 7 the pivot lands on column 0, a worse pivot set
+# no rule mentions; mod 7 the pivot lands on column 0, a worse pivot set,
+# and the certificate rejects its lift too
 @example(([[3, -14]], [1, 0]))
 @settings(max_examples=150, deadline=None)
 def test_rref_with_small_primes_matches_gauss_jordan_oracle(case):
-    # with the primes 3, 7, 31, 127, 8191, ... unlucky primes and lifts the
-    # certificate rejects are common; patch, not monkeypatch, since
-    # Hypothesis rejects function-scoped fixtures
+    # with the primes 3, 7, 31, 127, 8191, ..., each tried on its own, worse
+    # pivot sets and lifts the certificate rejects are common; patch, not
+    # monkeypatch, since Hypothesis rejects function-scoped fixtures
     dense, order = case
     m = from_dense(dense, len(order))
     want = list(rref_oracle(m, order).items())
