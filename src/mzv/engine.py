@@ -10,17 +10,20 @@ parts lexicographically; this reproduces the published generator choices
 (5), (7), (6,2), (9), (8,2).
 
 The preference order is one of the worst orders for fill on these rows, so
-the elimination runs in two stages within one `rref` call (its
-`first_order`).  For each prime the rows are first echelonized in a
-low-fill order: depth descending, then the reversed word ascending.  That
-echelon's rows are then echelonized once more in the preference order.
-They span the same space as the relation rows mod p, and the RREF of a row
-space is unique for a column order; only the final echelon is lifted to Q,
-and it is certified exactly against the relation rows, so the rules and
-basis are those a single elimination in the preference order gives.
-Forward entry updates (one prime) drop from 893k to 444k at weight 11 and
-from 5.99M to 2.65M at weight 12; the second stage adds under 500, since
-its input is already reduced and back-substitution does its work.
+the relation rows are echelonized once, in a low-fill order: depth
+descending, then the reversed word ascending.  Forward entry updates (one
+prime) drop from 893k to 444k at weight 11 and from 5.99M to 2.65M at
+weight 12 against the preference order.  That RREF gives every word its
+coordinates in the quotient by the row space: a free word f is e_f, and a
+pivot word u is -sum row_u[f] e_f.  A second `rref` takes these d_n
+coordinate rows, with every word as a column, most preferred first.  Its
+pivots, in scan order, are the basis, and the column of any other word is
+that word's rule.  This is the basis and rules one elimination of the
+relation rows in reversed preference order gives: the free columns of an
+RREF are the basis a greedy pass picks from the end of the column order; a
+greedy pass over the quotient coordinates in preference order picks the
+same basis; and a word's coordinates in a basis are unique.  Both RREFs
+are certified over Q, and the step between them is exact.
 
 Basis words are then resolved against products of the generators
 accumulated from lower weights by one RREF whose rows are the basis
@@ -179,6 +182,11 @@ def _product_value(mono: GeneratorMonomial, table: "RewriteTable") -> LinComb:
     return p.map_linear(lambda comp: table.coords(comp_to_word(comp)))
 
 
+def _column(ech: dict, c) -> LinComb:
+    """Column c of an RREF: c as a combination of the pivot columns."""
+    return LinComb._raw({b: row[c] for b, row in ech.items() if c in row})
+
+
 def echelonize_degree(n: int, cache=None) -> RewriteTable:
     """Rewrite table for weight n in the cache's preference order;
     lower-weight tables are built on demand."""
@@ -193,12 +201,20 @@ def echelonize_degree(n: int, cache=None) -> RewriteTable:
     mat = knt_system(n)
     words = mat.column_labels
     low_fill = sorted(words, key=lambda w: (-w.count("1"), w[::-1]))
-    ech = rref(mat.rows, sorted(words, key=key, reverse=True),
-               first_order=low_fill)
-    basis_words = tuple(sorted((w for w in words if w not in ech), key=key))
-    rules: dict[Word, LinComb] = {}
+    ech = rref(mat.rows, low_fill)
+    # quotient coordinates, one row per free word f: 1 at f, and -row_u[f]
+    # at each pivot word u
+    coords = {f: {f: 1} for f in words if f not in ech}
     for u, row in ech.items():
-        rules[u] = LinComb._raw({w: -v for w, v in row.items() if w != u})
+        for f, v in row.items():
+            if f != u:
+                coords[f][u] = -v
+    # the change of basis: its pivots are the basis, in preference order,
+    # and the column of any other word is that word's rule
+    preferred = sorted(words, key=key)
+    cob = rref(coords.values(), preferred)
+    basis_words = tuple(cob)
+    rules = {u: _column(cob, u) for u in reversed(preferred) if u not in cob}
     table = RewriteTable(n, basis_words, rules, {})
 
     # rows: basis coordinates; columns: the products of generators (all
@@ -217,8 +233,7 @@ def echelonize_degree(n: int, cache=None) -> RewriteTable:
     # each basis word is its own RREF column over the pivot columns before
     # it; a pivot column is its own unit vector, a new generator
     for b, u in zip(basis_words, units):
-        table.generator_map[b] = LinComb._raw(
-            {g: row[u] for g, row in res.items() if u in row})
+        table.generator_map[b] = _column(res, u)
     cache.put(table)
     return table
 

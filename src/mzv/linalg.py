@@ -31,27 +31,18 @@ pivot label, in the order the scan finds the pivots, to its row, pivot entry
      form for the column order, is its unique RREF, whatever prime
      produced it.
 
-With `first_order`, each prime's pass eliminates the rows in that order
-first and then eliminates the resulting echelon rows, pivot entries
-restored, in the column order.  A good first order keeps fill low, and the
-second stage, whose input is already reduced, costs little.  The echelon
-rows of the first stage are independent mod p and span the raw rows mod p,
-so the final pivot count is still the rank mod p of the raw rows, and the
-certificate above, run against the raw rows, holds unchanged.  Only the
-final echelon is lifted and certified.
-
 Each prime's pass stands alone.  When reconstruction or the certificate
 fails, the pass is dropped and the next prime of a fixed sequence is tried
 on its own: the Mersenne primes 2^e - 1 for the exponents e of
 `_MERSENNE_EXPONENTS` (OEIS A000043 from 89, without 107), all known
 primes.  A prime whose pivots differ from those over Q (a lower rank, or
 other columns) yields a lift the certificate rejects.  2^89 - 1 lifts a/b
-with |a|, b up to 2^44: the RREFs of the relation systems through weight
-14 need one pass (the largest numerator at weight 14 is 0.61 of that
-bound).  2^107 - 1 would lift only up to 2^53, short of the 58-bit
-numerators at weight 15, so the next prime is 2^127 - 1, which lifts up to
-2^63.  The last, 2^44497 - 1, lifts about 22,000 bits; should it not
-suffice, `rref` raises ArithmeticError.
+with |a|, b up to 2^44: the engine's RREFs in the default order through
+weight 14 need one pass (the largest numerator at weight 14, in the table,
+is 0.61 of that bound).  2^107 - 1 would lift only up to 2^53, short of
+the 58-bit numerators at weight 15, so the next prime is 2^127 - 1, which
+lifts up to 2^63.  The last, 2^44497 - 1, lifts about 22,000 bits; should
+it not suffice, `rref` raises ArithmeticError.
 
 `rank` is the number of pivots `rref` finds in reversed column-label order.
 """
@@ -79,12 +70,11 @@ class SparseMatrix(NamedTuple):
 # ---------------------------------------------------------------------------
 # the modular kernel
 
-def _to_int_row(row: Mapping[int, object]) -> dict[int, int]:
+def _to_int_row(row: Mapping[int, int | Fraction]) -> dict[int, int]:
     """row scaled to coprime integers (content removed)."""
-    vals = {c: v if isinstance(v, int) else Fraction(v)
-            for c, v in row.items() if v}
+    vals = {c: v for c, v in row.items() if v}
     den = lcm(*(v.denominator for v in vals.values()))
-    ints = {c: int(v * den) for c, v in vals.items()}
+    ints = {c: v.numerator * (den // v.denominator) for c, v in vals.items()}
     g = gcd(*ints.values())
     return ints if g == 1 else {c: v // g for c, v in ints.items()}
 
@@ -207,39 +197,29 @@ def _certify(rows: list[dict[int, int]],
 
 
 def rref(rows: Iterable[Mapping[Hashable, object]],
-         col_order: Sequence[Hashable],
-         first_order: Sequence[Hashable] | None = None
+         col_order: Sequence[Hashable]
          ) -> dict[Hashable, dict[Hashable, Fraction]]:
     """Reduced row echelon form of rows, scanning pivot columns in col_order.
 
     A row maps column labels, each listed once in col_order, to rational
-    coefficients; first_order, if given, is a permutation of col_order.
-    The labels are numbered once, by position in col_order, and the result
-    is keyed by label again: a dict from each pivot label, in scan order, to
-    its row, the pivot entry Fraction(1) first.  It is the unique RREF of
-    the row space under col_order, certified exactly over Q.  With
-    first_order, each prime first eliminates the rows in that order and
-    then the resulting echelon rows in col_order; the result is the same.
+    coefficients, ints or Fractions.  The labels are numbered once, by
+    position in col_order, and the result is keyed by label again: a dict
+    from each pivot label, in scan order, to its row, the pivot entry
+    Fraction(1) first.  It is the unique RREF of the row space under
+    col_order, certified exactly over Q.
     """
     pos = {c: i for i, c in enumerate(col_order)}
     if len(pos) != len(col_order):
         raise ValueError("column order lists a label twice")
     try:
-        first = None if first_order is None else [pos[c] for c in first_order]
         keyed = ({pos[c]: v for c, v in row.items()} for row in rows)
         int_rows = [r for r in map(_to_int_row, keyed) if r]
     except KeyError as exc:
         raise ValueError(f"label {exc.args[0]!r} is not in the column "
                          "order") from None
-    if first is not None and sorted(first) != list(range(len(pos))):
-        raise ValueError("first_order is not a permutation of col_order")
 
     for p in _primes():
-        work = int_rows
-        if first is not None:
-            work = [{c: 1, **r}
-                    for c, r in _eliminate(int_rows, first, p).items()]
-        lifted = _lift(_eliminate(work, range(len(pos)), p), p)
+        lifted = _lift(_eliminate(int_rows, range(len(pos)), p), p)
         if lifted is not None and _certify(int_rows, lifted):
             break
     else:

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from mzv import linalg
 from mzv.conjectures import n23_counts, zagier_dims
 from mzv.engine import (
     PREFERENCES,
@@ -312,6 +313,20 @@ def test_tables_match_the_direct_rref_oracle(prefer):
     for n in range(2, 11):
         t = echelonize_degree(n, store)
         assert (t.basis_words, t.rules) == rules_from_direct_rref(n, prefer), n
+
+
+@pytest.mark.parametrize("prefer", ["depth", "lex"])
+def test_tables_match_the_oracle_with_small_primes(prefer, monkeypatch):
+    # with primes from 2^2 - 1, passes fail to lift or certify in both the
+    # low-fill rref and the change of basis before one succeeds
+    want = {n: rules_from_direct_rref(n, prefer) for n in range(2, 9)}
+    monkeypatch.setattr(linalg, "_MERSENNE_EXPONENTS",
+                        (2, 3, 5, 7, 13, 17, 19, 31, 61, 89, 127))
+    store = TableStore(preference=prefer)
+    for n in range(2, 9):
+        t = echelonize_degree(n, store)
+        assert (t.basis_words, t.rules) == want[n], n
+        assert list(t.rules) == list(want[n][1]), n
 
 
 def test_unknown_preference_rejected():
