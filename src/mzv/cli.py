@@ -16,7 +16,7 @@ import sys
 
 from . import conjectures, engine, store
 from .linalg import rank
-from .lyndon import format_lyndon_poly, radford_decompose_poly
+from .lyndon import format_lyndon_poly, radford_decompose
 from .regularize import full_system, reg
 from .words import (
     LinComb,
@@ -26,7 +26,7 @@ from .words import (
     parse_comp,
     shuffle,
     stuffle,
-    validate_word,
+    word_poly,
     word_sort_key,
     word_to_comp,
 )
@@ -85,10 +85,8 @@ def _print_terms(args, p: LinComb, text, key=word_sort_key,
 
 
 def cmd_shuffle(args) -> int:
-    for w in (args.w1, args.w2):
-        validate_word(w)
-    return _print_terms(args, shuffle(LinComb.term(args.w1),
-                                      LinComb.term(args.w2)), format_word_poly)
+    return _print_terms(args, shuffle(word_poly(args.w1), word_poly(args.w2)),
+                        format_word_poly)
 
 
 def cmd_stuffle(args) -> int:
@@ -99,13 +97,11 @@ def cmd_stuffle(args) -> int:
 
 
 def cmd_reg(args) -> int:
-    validate_word(args.word)
-    return _print_terms(args, reg(LinComb.term(args.word)), format_word_poly)
+    return _print_terms(args, reg(word_poly(args.word)), format_word_poly)
 
 
 def cmd_decompose(args) -> int:
-    validate_word(args.word)
-    return _print_terms(args, radford_decompose_poly(LinComb.term(args.word)),
+    return _print_terms(args, radford_decompose(args.word),
                         format_lyndon_poly, key=None, label=".".join)
 
 

@@ -195,8 +195,7 @@ def echelonize_degree(n: int, cache=None) -> RewriteTable:
     if hit is not None:
         return hit
     key = PREFERENCES[cache.preference]
-    for m in range(2, n):
-        echelonize_degree(m, cache)
+    lower = [echelonize_degree(m, cache) for m in range(2, n)]
 
     mat = knt_system(n)
     words = mat.column_labels
@@ -220,8 +219,8 @@ def echelonize_degree(n: int, cache=None) -> RewriteTable:
     # rows: basis coordinates; columns: the products of generators (all
     # below weight n, so two or more factors), then the unit vector (the
     # one-factor monomial) of each basis word in preference order
-    gens = sorted((word_to_comp(w) for m in range(2, n)
-                   for w in cache.get(m).new_generators), key=factor_key)
+    gens = sorted((word_to_comp(w) for t in lower for w in t.new_generators),
+                  key=factor_key)
     monos = list(_product_monomials(gens, n))
     units = [(word_to_comp(b),) for b in basis_words]
     row_of = {b: {u: 1} for b, u in zip(basis_words, units)}

@@ -196,7 +196,8 @@ def radford_decompose_poly(p: LinComb) -> LinComb:
         c = work.pop(w, 0)
         if not c:
             continue                      # cancelled, or a stale entry
-        mono = tuple(sorted(cfl_factor(w)))  # () for the empty word
+        # cfl_factor's factors are non-increasing; () for the empty word
+        mono = tuple(reversed(cfl_factor(w)))
         lead = _multiplicity_factorial(mono)
         # the expansion's top term is exactly lead * w, which we popped
         g = lead // gcd(c, lead)

@@ -16,23 +16,26 @@ which the next level damps again (the leading index is at least 2).
 All of this runs in fixed point.  Every partial sum W(m) and every
 coefficient c of an expansion {(a, p): c}, the term c n^-a log(n)^p, is a
 Python int X standing for X * 2^-B, with B the working precision mp.prec plus
-GUARD_BITS.  A product of two such numbers is (x * y) >> B, and division by
-a small integer rounds to the nearest.  The binomials of the shift, the
-integer multipliers of the derivatives and the Euler-Maclaurin weights
-B_2r/(2r)! (from mp.bernfrac) enter as exact integers or fractions, with one
-rounding per product.  log(CAL) comes once from mp.log; the value and the
-bound turn into mpf only at the end.
+GUARD_BITS plus the bits that parts equal to 1 cancel (below).  A product of
+two such numbers is (x * y) >> B, and division by a small integer rounds to
+the nearest.  The binomials of the shift, the integer multipliers of the
+derivatives and the Euler-Maclaurin weights B_2r/(2r)! (from mp.bernfrac)
+enter as exact integers or fractions, with one rounding per product.
+log(CAL) comes once from mp.log; the value and the bound turn into mpf only
+at the end.
 
-Fixed point is at least as accurate here as mpf at the working precision.
 Each operation adds at most one unit of 2^-B to a number.  A coefficient
 of n^-a log(n)^p reaches the value only through evaluation at some
 n >= CAL - 1 >= 119 (the shift re-expands E(n-1), which is E at n - 1),
-where n^-a <= 1, so its absolute error is never weighted by more than the
-log power that mpf's relative error on a coefficient of size 1 also meets.
-One unit of 2^-B is 2^-GUARD_BITS of mpf's unit at size 1, and larger
-coefficients lose nothing to their size.  The total stays orders of
-magnitude below the precision floor 10^(8-dps) * (1 + |value|) that the
-bound already charges.
+where n^-a <= 1.  What that evaluation loses is cancellation.  Each part
+equal to 1 raises the top log power by one, and the antiderivative of
+n^-a log(n)^p has the coefficients p!/pp! / (a-1)^(p-pp+1), pp <= p, far
+larger than the value they sum to at CAL.  With k parts equal to 1 about
+log2(k!) bits cancel (mpf at the working precision would lose them too).
+That outgrows the 8 digits that the precision floor 10^(8-dps) * (1 + |value|)
+of the bound charges from k = 18 at tol 1e-20, and at k = 40
+ζ(2,{1}^40) = ζ(42) would come out as -0.56.  So B carries the bit length of
+k! on top of GUARD_BITS, and the rounding error stays below that floor.
 
 The reported abs_error_bound is computed from the pieces the model threw
 away: the magnitude of the last kept expansion order at the calibration
@@ -183,7 +186,7 @@ def _eval(E: dict, cal: int, logs: list, B: int,
 def _compute(comp: Composition, dps: int, cal: int, em_order: int,
              amax: int):
     with mp.workdps(dps):
-        B = mp.prec + GUARD_BITS
+        B = mp.prec + GUARD_BITS + factorial(comp.count(1)).bit_length()
         with mp.workprec(B + GUARD_BITS):
             log_cal = int(mp.nint(mp.ldexp(mp.log(cal), B)))
         logs = [1 << B]

@@ -40,7 +40,8 @@ __all__ = [
     "KNT_W0_SET",
 ]
 
-# fixed by the sufficiency conjecture: x1, x0x1, x0^2 x1, x0 x1^2
+# fixed by the sufficiency conjecture: x1, x0x1, x0^2 x1, x0 x1^2, in
+# (length, word) order, the order knt_system emits its rows in
 KNT_W0_SET = ("1", "01", "001", "011")
 
 
@@ -49,12 +50,10 @@ class X1Decomposition(NamedTuple):
     coefficients: tuple[LinComb, ...]
 
     def reconstruct(self) -> LinComb:
-        ones = LinComb.term("")
+        # x1^(sh i) = i! 1^i
         total = LinComb.zero()
         for i, c in enumerate(self.coefficients):
-            if i > 0:
-                ones = shuffle(ones, word_poly("1"))
-            total = total + shuffle(c, ones)
+            total = total + shuffle(c, LinComb.term("1" * i, factorial(i)))
         return total
 
 
@@ -107,7 +106,8 @@ def double_shuffle_relation(w1: Word, w0: Word) -> LinComb:
     sh = shuffle(word_poly(w1), word_poly(w0))
     stconv = stuffle(LinComb.term(word_to_comp(w1)),
                      LinComb.term(word_to_comp(w0)))
-    st = stconv.map_keys(comp_to_word)
+    # comp_to_word is one-to-one, so no two keys merge
+    st = LinComb._raw({comp_to_word(c): m for c, m in stconv.items()})
     return reg(sh - st)
 
 
@@ -117,7 +117,7 @@ def knt_system(n: int) -> SparseMatrix:
     if n < 2:
         raise ValueError("weight must be at least 2")
     rows = []
-    for w0 in sorted(KNT_W0_SET, key=lambda w: (len(w), w)):
+    for w0 in KNT_W0_SET:
         k = n - len(w0)
         if k < 2:
             continue

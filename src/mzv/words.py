@@ -131,18 +131,6 @@ class LinComb(dict):
 
     __mul__ = __rmul__
 
-    def map_keys(self, f: Callable[[Hashable], Hashable]) -> "LinComb":
-        """Push every key through f, merging collisions (linear extension)."""
-        d = {}
-        for k, c in self.items():
-            k2 = f(k)
-            s = d.get(k2, 0) + c
-            if s:
-                d[k2] = s
-            else:
-                d.pop(k2, None)
-        return LinComb._raw(d)
-
     def map_linear(self, f: Callable[[Hashable], "LinComb"]) -> "LinComb":
         """Substitute f(key) for every key (f returns a LinComb)."""
         d = {}

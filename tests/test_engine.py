@@ -370,7 +370,8 @@ def freeness_from_raw_rows(n, cache):
             gp = LinComb.term(())
             for f in mono:
                 gp = gp_mul(gp, express_in_generators(word_to_comp(f), cache))
-            out = out + coeff * gp.map_keys(lambda g: ("p", g))
+            out = out + coeff * LinComb._raw({("p", g): c
+                                              for g, c in gp.items()})
         rows.append(out)
     labels = [("s", l) for l in sorted(singles, key=key, reverse=True)] + \
         [("p", g) for g in sorted({k[1] for r in rows for k in r

@@ -192,6 +192,31 @@ def test_bounds_are_honest_against_the_recorded_references(monkeypatch):
             assert abs(nv.value - mpf(text)) <= nv.abs_error_bound, key
 
 
+@pytest.mark.parametrize("k, tol", [(20, 1e-20), (29, 1e-20), (40, 1e-6)])
+def test_a_chain_of_ones_against_duality(monkeypatch, k, tol):
+    # duality gives ζ(2,{1}^k) = ζ(k+2); each part 1 adds a log power,
+    # whose cancellation the working precision must cover
+    monkeypatch.setattr(numeric, "_value_cache", {})
+    nv = mzv_numeric((2,) + (1,) * k, tol)
+    r = ref(lambda: zeta(k + 2))
+    assert nv.abs_error_bound <= mpf(tol)
+    assert abs(nv.value - r) <= nv.abs_error_bound + ref_error(r)
+
+
+def test_sum_formula_at_depth_21(monkeypatch):
+    # ζ(w) is the sum of ζ(c) over the admissible c of weight w and depth
+    # d; at w = d + 2 those are (3,1^(d-1)) and every (2,1^i,2,1^(d-2-i)),
+    # with d - 2 or d - 1 parts equal to 1 each
+    monkeypatch.setattr(numeric, "_value_cache", {})
+    d = 21
+    comps = [(3,) + (1,) * (d - 1)] + \
+        [(2,) + (1,) * i + (2,) + (1,) * (d - 2 - i) for i in range(d - 1)]
+    nvs = [mzv_numeric(c, 1e-20) for c in comps]
+    with workdps(60):
+        err = abs(sum(nv.value for nv in nvs) - zeta(d + 2))
+        assert err <= sum(nv.abs_error_bound for nv in nvs)
+
+
 def test_rejects_bad_input():
     with pytest.raises(ValueError):
         mzv_numeric((1, 2))
