@@ -203,18 +203,17 @@ def test_a_chain_of_ones_against_duality(monkeypatch, k, tol):
     assert abs(nv.value - r) <= nv.abs_error_bound + ref_error(r)
 
 
-def test_sum_formula_at_depth_21(monkeypatch):
-    # ζ(w) is the sum of ζ(c) over the admissible c of weight w and depth
-    # d; at w = d + 2 those are (3,1^(d-1)) and every (2,1^i,2,1^(d-2-i)),
-    # with d - 2 or d - 1 parts equal to 1 each
+def test_split_chain_of_ones_against_duality_and_stuffle(monkeypatch):
+    # duality gives ζ(2,1^i,2,1^j) = ζ(j+2,i+2), and the stuffle of ζ(i+2)
+    # and ζ(j+2) sums the two orders: at (i, j) = (0, 19) the parts equal
+    # to 1 are one chain of 19, after or before the second 2
     monkeypatch.setattr(numeric, "_value_cache", {})
-    d = 21
-    comps = [(3,) + (1,) * (d - 1)] + \
-        [(2,) + (1,) * i + (2,) + (1,) * (d - 2 - i) for i in range(d - 1)]
-    nvs = [mzv_numeric(c, 1e-20) for c in comps]
+    nvs = [mzv_numeric(c, 1e-20) for c in ((2, 2) + (1,) * 19,
+                                           (2,) + (1,) * 19 + (2,))]
+    r = ref(lambda: zeta(2) * zeta(21) - zeta(23))
     with workdps(60):
-        err = abs(sum(nv.value for nv in nvs) - zeta(d + 2))
-        assert err <= sum(nv.abs_error_bound for nv in nvs)
+        err = abs(sum(nv.value for nv in nvs) - r)
+        assert err <= sum(nv.abs_error_bound for nv in nvs) + ref_error(r)
 
 
 def test_rejects_bad_input():

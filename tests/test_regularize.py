@@ -1,6 +1,7 @@
 """Regularization and relation-system tests."""
 
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
@@ -57,6 +58,14 @@ def test_x1_reconstruction_exhaustive():
     for n in range(1, 10):
         for w in h1_words(n):
             assert x1_decompose(word_poly(w)).reconstruct() == word_poly(w)
+
+
+def test_shuffle_power_of_x1():
+    # reconstruct and x1_decompose both use x1^(sh i) = i! 1^i
+    power = LinComb.term("")
+    for i in range(8):
+        assert power == LinComb.term("1" * i, factorial(i))
+        power = shuffle(power, word_poly("1"))
 
 
 def test_x1_coefficients_in_h2():
