@@ -18,9 +18,11 @@ coefficient c of an expansion {(a, p): c}, the term c n^-a log(n)^p, is a
 Python int X standing for X * 2^-B, with B the working precision mp.prec plus
 GUARD_BITS plus the bits that parts equal to 1 cancel (below).  A product of
 two such numbers is (x * y) >> B, and division by a small integer rounds to
-the nearest.  The binomials of the shift, the integer multipliers of the
-derivatives and the Euler-Maclaurin weights B_2r/(2r)! (from mp.bernfrac)
-enter as exact integers or fractions, with one rounding per product.
+the nearest.  The shift E(n-1) is Taylor's series sum_k (-1)^k E^(k)(n)/k!
+over the exact derivative, summed over the common denominator K! and
+rounded once per coefficient.  The integer multipliers of the derivatives
+and the Euler-Maclaurin weights B_2r/(2r)! (from mp.bernfrac) enter as
+exact integers or fractions, with one rounding per product.
 log(CAL) comes once from mp.log; the value and the bound turn into mpf only
 at the end.
 
@@ -47,7 +49,7 @@ references far more accurate than the targets.
 
 from __future__ import annotations
 
-from math import ceil, comb, factorial
+from math import ceil, factorial
 from typing import NamedTuple
 
 from mpmath import mp
@@ -90,43 +92,20 @@ def _add_scaled(E: dict, other: dict, num: int, den: int) -> None:
         _add(E, key, _rdiv(c * num, den))
 
 
-def _s_powers(amax: int, qmax: int, B: int) -> list[dict]:
-    """Powers of log(1 - 1/n) as plain series in 1/n, truncated at n^-amax."""
-    s = {c: _rdiv(-1 << B, c) for c in range(1, amax + 1)}
-    powers = [{0: 1 << B}, s]
-    while len(powers) <= qmax:
-        nxt: dict = {}
-        for c1, v1 in powers[-1].items():
-            for c2, v2 in s.items():
-                c = c1 + c2
-                if c > amax:
-                    break
-                nxt[c] = nxt.get(c, 0) + v1 * v2
-        powers.append({c: v >> B for c, v in nxt.items()})
-    return powers
-
-
-def _shift(E: dict, amax: int, B: int) -> dict:
-    """Re-expand E(n-1) around n, truncated at n^-amax."""
-    if not E:
-        return {}
-    spow = _s_powers(amax, max(p for _, p in E), B)
-    wide: dict = {}         # (a, p) -> coefficient times 2^B
-    for (a, p), coeff in E.items():
-        # (1 - 1/n)^(-a) coefficients
-        binom = [comb(a + b - 1, b) for b in range(amax - a + 1)] \
-            if a else [1]
-        for q in range(p + 1):
-            cpq = coeff * comb(p, q)
-            for cdeg, sc in spow[q].items():
-                a1 = a + cdeg
-                if a1 > amax:
-                    break
-                base = cpq * sc
-                for b in range(min(len(binom), amax - a1 + 1)):
-                    key = (a1 + b, p - q)
-                    wide[key] = wide.get(key, 0) + base * binom[b]
-    return {key: c >> B for key, c in wide.items() if c >> B}
+def _shift(E: dict, amax: int) -> dict:
+    """Re-expand E(n-1) around n, truncated at n^-amax: Taylor's series
+    sum_k (-1)^k E^(k)(n) / k!, with k <= amax - min a, since each
+    derivative raises every inverse power by one."""
+    K = max(0, amax - min((a for a, _ in E), default=amax))
+    scale = factorial(K)
+    t = {key: scale * c for key, c in E.items() if key[0] <= amax}
+    total = dict(t)
+    for k in range(1, K + 1):
+        # t = (-1)^k K!/k! E^(k) stays exact, as K!/(k-1)! = k K!/k!
+        t = {key: c // -k for key, c in _deriv(t).items() if key[0] <= amax}
+        for key, c in t.items():
+            total[key] = total.get(key, 0) + c
+    return {key: x for key, c in total.items() if (x := _rdiv(c, scale))}
 
 
 def _antideriv(E: dict) -> dict:
@@ -209,7 +188,7 @@ def _compute(comp: Composition, dps: int, cal: int, em_order: int,
                 w[m] = w[m - 1] + _rdiv(w_next[m - 1], m ** e)
             # times n^-s, only orders up to amax - s of the shift survive
             g = {(a + s, p): c
-                 for (a, p), c in _shift(e_next, amax - s, B).items()}
+                 for (a, p), c in _shift(e_next, amax - s).items()}
             phi = _antideriv(g)
             _add_scaled(phi, g, 1, 2)
             d = _deriv(g)
@@ -243,7 +222,7 @@ def _params(target_digits: int):
 
 _value_cache: dict[Composition, NumericValue] = {}
 
-# the most digits mzv_numeric works to (z(2,1): 16 s at 1000, 2-core Xeon)
+# the most digits mzv_numeric works to (z(2,1): 14-16 s at 1000, 2-core Xeon)
 MAX_DIGITS = 1000
 
 

@@ -6,8 +6,9 @@ cover the observed error is a genuine defect and not reference noise.
 """
 
 import json
+from collections import defaultdict
 from fractions import Fraction
-from math import ceil, log10
+from math import ceil, comb, log10
 from pathlib import Path
 
 import pytest
@@ -248,3 +249,39 @@ _EXPANSION = st.dictionaries(
 @example({(0, 0): 5})               # a constant has no derivative
 def test_second_derivative_in_one_pass(E):
     assert numeric._deriv2(E) == numeric._deriv(numeric._deriv(E))
+
+
+def _shift_reference(E, amax):
+    """E(n-1) re-expanded exactly in Fractions, each coefficient rounded
+    once: c n^-a log(n)^p becomes c sum_b C(a+b-1, b) n^-(a+b) times
+    sum_q C(p, q) log(n)^(p-q) s^q, with s = log(1 - 1/n) = -sum_d n^-d/d."""
+    s = {d: Fraction(-1, d) for d in range(1, amax + 1)}
+    exact = defaultdict(Fraction)
+    for (a, p), coeff in E.items():
+        s_q = {0: Fraction(1)}          # s^q, {inverse power: coefficient}
+        for q in range(p + 1):
+            for d, v in s_q.items():
+                for b in range(amax - a - d + 1):
+                    # (1 - 1/n)^-a; for a = 0 only b = 0 is nonzero
+                    binom = comb(a + b - 1, b) if b else 1
+                    exact[a + d + b, p - q] += coeff * comb(p, q) * v * binom
+            nxt = defaultdict(Fraction)
+            for d1, v1 in s_q.items():
+                for d2, v2 in s.items():
+                    if d1 + d2 <= amax:
+                        nxt[d1 + d2] += v1 * v2
+            s_q = nxt
+    return {key: x for key, f in exact.items()
+            if (x := numeric._rdiv(f.numerator, f.denominator))}
+
+
+@given(st.dictionaries(st.tuples(st.integers(0, 8), st.integers(0, 5)),
+                       st.integers(-2 ** 80, 2 ** 80).filter(bool),
+                       max_size=12),
+       st.integers(-2, 14))
+@example({}, 5)
+@example({(0, 0): 5 << 64}, 5)      # a constant shifts to itself
+@example({(6, 1): 7 << 64}, 4)      # every key lies beyond amax
+@example({(0, 1): 3 << 64}, -1)
+def test_shift_is_the_exact_re_expansion_rounded_once(E, amax):
+    assert numeric._shift(E, amax) == _shift_reference(E, amax)
