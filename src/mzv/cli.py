@@ -367,7 +367,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_rewrite)
 
     p = sub.add_parser("n23", help="generator counts and Lyndon words "
-                       "over the {2,3} alphabet")
+                       "over the {2,3} alphabet (exponentially many in --max)")
     p.add_argument("--max", type=int, required=True)
     p.set_defaults(func=cmd_n23)
 

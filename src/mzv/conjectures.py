@@ -231,9 +231,9 @@ def bk_reconstruct(table: BkTable) -> bool:
     for (n, k), d in sorted(table.values.items()):
         if d < 0:
             return False
-        factor = LinComb({(0, 0): 1, (n, k): -1})
-        for _ in range(d):
-            prod = _series_mul(prod, factor, cap)
+        factor = LinComb({(n * j, k * j): (-1) ** j * comb(d, j)
+                          for j in range(cap // n + 1)})
+        prod = _series_mul(prod, factor, cap)
     return prod == _bk_series(cap)
 
 

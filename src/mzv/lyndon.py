@@ -10,16 +10,18 @@ words (multisets).
 The decomposition is computed by triangular elimination: the shuffle
 expansion of the monomial built from a word's Chen-Fox-Lyndon factors has
 that word as its lexicographically largest term, with coefficient equal to
-the product of the factor multiplicities' factorials.  The bracketed forms
-and right residuals are kept for the test suite (the Leibniz rule) and
-acceptance criterion 09; no module under src calls them.
+the product of the factor multiplicities' factorials.  The cascade reads
+that coefficient off the memoized expansion it subtracts, and the word being
+rewritten cancels through its own term.  The bracketed forms and right
+residuals are kept for the test suite (the Leibniz rule) and acceptance
+criterion 09; no module under src calls them.
 """
 
 from __future__ import annotations
 
 import heapq
 from fractions import Fraction
-from math import factorial, gcd, lcm
+from math import gcd, lcm
 
 from .words import (
     LinComb,
@@ -52,9 +54,7 @@ LyndonMonomial = tuple[Word, ...]  # sorted tuple of Lyndon words
 
 def is_lyndon(w: Word) -> bool:
     """True iff w is nonempty and smaller than all its proper right factors."""
-    if not w:
-        return False
-    return all(w < w[i:] for i in range(1, len(w)))
+    return cfl_factor(w) == [w]
 
 
 def lyndon_words(n: int, alphabet: str = "01") -> list[Word]:
@@ -103,10 +103,10 @@ def standard_factorization(w: Word) -> tuple[Word, Word]:
     Lyndon suffix; then u is Lyndon as well and u < uv < v."""
     if len(w) < 2 or not is_lyndon(w):
         raise ValueError(f"not a composite Lyndon word: {w!r}")
-    for i in range(1, len(w)):
-        if is_lyndon(w[i:]):
-            return w[:i], w[i:]
-    raise AssertionError("unreachable: single letters are Lyndon")
+    # the last CFL factor of w[1:] is its smallest suffix, and a Lyndon
+    # word's smallest proper suffix is its longest proper Lyndon suffix
+    v = cfl_factor(w[1:])[-1]
+    return w[:-len(v)], v
 
 
 def bracket(l: Word) -> LinComb:
@@ -157,18 +157,6 @@ def expand(P: LinComb) -> LinComb:
     return P.map_linear(monomial_expand)
 
 
-def _multiplicity_factorial(mono: LyndonMonomial) -> int:
-    # product of factorials of the factor multiplicities; this is the
-    # coefficient of the leading word in the monomial's shuffle expansion
-    counts: dict[Word, int] = {}
-    for f in mono:
-        counts[f] = counts.get(f, 0) + 1
-    out = 1
-    for m in counts.values():
-        out *= factorial(m)
-    return out
-
-
 def radford_decompose_poly(p: LinComb) -> LinComb:
     """Express a word polynomial as a polynomial in Lyndon words.
 
@@ -182,8 +170,8 @@ def radford_decompose_poly(p: LinComb) -> LinComb:
 
     Each monomial's coefficient is written once, when its word is popped:
     a word and its monomial (the sorted Chen-Fox-Lyndon factors) determine
-    each other, and a popped word never comes back, since every later step
-    only touches words smaller than the one it pops.
+    each other, and a popped word never comes back: it cancels in its own
+    step, and every later step only touches smaller words.
     """
     result: dict[LyndonMonomial, Fraction] = {}
     den = lcm(1, *(c.denominator for c in p.values()))
@@ -193,13 +181,13 @@ def radford_decompose_poly(p: LinComb) -> LinComb:
     heapq.heapify(heap)
     while heap:
         w = heapq.heappop(heap)[2]
-        c = work.pop(w, 0)
+        c = work.get(w, 0)
         if not c:
             continue                      # cancelled, or a stale entry
         # cfl_factor's factors are non-increasing; () for the empty word
         mono = tuple(reversed(cfl_factor(w)))
-        lead = _multiplicity_factorial(mono)
-        # the expansion's top term is exactly lead * w, which we popped
+        expansion = monomial_expand(mono)
+        lead = expansion[w]
         g = lead // gcd(c, lead)
         if g > 1:
             den *= g
@@ -208,9 +196,8 @@ def radford_decompose_poly(p: LinComb) -> LinComb:
                 work[k] *= g
         result[mono] = Fraction(c, den * lead)
         q = c // lead
-        for w2, c2 in monomial_expand(mono).items():
-            if w2 == w:
-                continue
+        # c == q * lead, so w cancels through its own term of the expansion
+        for w2, c2 in expansion.items():
             s = work.get(w2, 0)
             if not s:
                 heapq.heappush(heap, (-len(w2), -int(w2, 2), w2))

@@ -8,11 +8,16 @@ against re-exponentiation of the defining series.
 
 from fractions import Fraction
 from math import factorial, gcd
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from mzv import conjectures
 from mzv.conjectures import (
     BkTable,
+    _series_mul,
     bernoulli,
     bk_counts,
     bk_reconstruct,
@@ -28,6 +33,7 @@ from mzv.engine import echelonize_degree
 from mzv.linalg import rank
 from mzv.regularize import knt_system
 from mzv.store import TableStore
+from mzv.words import LinComb
 
 DIMS_TO_12 = [1, 0, 1, 1, 1, 2, 2, 3, 4, 5, 7, 9, 12]
 N_TO_16 = [0, 0, 1, 1, 0, 1, 0, 1, 1, 1, 1, 2, 2, 3, 3, 4, 5]
@@ -191,8 +197,24 @@ def test_bk_row_sums_equal_necklace_counts():
 
 
 def test_bk_reconstruction():
-    for w in (9, 12, 16):
+    for w in (9, 12, 16, 40):
         assert bk_reconstruct(bk_counts(w))
+
+
+@given(st.dictionaries(st.tuples(st.integers(1, 6), st.integers(1, 4)),
+                       st.integers(1, 6), max_size=3),
+       st.integers(1, 14))
+@settings(max_examples=60, deadline=None)
+def test_bk_reconstruct_binomial_factor(values, cap):
+    # oracle: multiply (1 - x^n y^k) into the product d times
+    oracle = LinComb.term((0, 0))
+    for (n, k), d in sorted(values.items()):
+        factor = LinComb({(0, 0): 1, (n, k): -1})
+        for _ in range(d):
+            oracle = _series_mul(oracle, factor, cap)
+    # bk_reconstruct is True iff its product equals _bk_series(cap)
+    with mock.patch.object(conjectures, "_bk_series", lambda c: oracle):
+        assert bk_reconstruct(BkTable(cap, values, ()))
 
 
 def test_bk_reconstruction_detects_tampering():

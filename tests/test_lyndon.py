@@ -2,10 +2,15 @@
 
 lyndon_words is checked against a brute rotation filter, cfl_factor against
 the defining property (nonincreasing Lyndon factors whose concatenation is
-the word), and radford_decompose against round-trip expansion.
+the word), and radford_decompose against round-trip expansion.  is_lyndon and
+standard_factorization are read off cfl_factor, so the Lyndon property is
+checked by its definition (lyndon_by_definition), never through cfl_factor.
 """
 
+import itertools
+from collections import Counter
 from fractions import Fraction
+from math import factorial, prod
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -36,6 +41,11 @@ def brute_lyndon(n: int) -> list[str]:
     return out
 
 
+def lyndon_by_definition(w: str) -> bool:
+    # nonempty and strictly smaller than each proper right factor
+    return bool(w) and all(w < w[i:] for i in range(1, len(w)))
+
+
 words_st = st.text(alphabet="01", min_size=1, max_size=8)
 
 
@@ -50,6 +60,14 @@ def test_is_lyndon_basics():
     assert not is_lyndon("00")
     assert not is_lyndon("0101")
     assert not is_lyndon("0110")
+
+
+def test_is_lyndon_matches_definition_exhaustive():
+    words = [w for n in range(13) for w in all_words(n)]
+    words += ["".join(t) for n in range(9)
+              for t in itertools.product("23", repeat=n)]
+    for w in words:
+        assert is_lyndon(w) == lyndon_by_definition(w), w
 
 
 def test_lyndon_words_against_brute():
@@ -86,14 +104,14 @@ def test_cfl_examples():
 def test_cfl_property(w):
     fac = cfl_factor(w)
     assert "".join(fac) == w
-    assert all(is_lyndon(f) for f in fac)
+    assert all(lyndon_by_definition(f) for f in fac)
     assert all(fac[i] >= fac[i + 1] for i in range(len(fac) - 1))
 
 
 @given(words_st)
 @settings(max_examples=100, deadline=None)
 def test_cfl_of_lyndon_is_itself(w):
-    if is_lyndon(w):
+    if lyndon_by_definition(w):
         assert cfl_factor(w) == [w]
 
 
@@ -108,12 +126,29 @@ def test_standard_factorization():
     assert u < v
 
 
+def test_standard_factorization_exhaustive():
+    # v is the longest proper suffix that is Lyndon by the definition
+    for n in range(2, 13):
+        for w in lyndon_words(n):
+            i = next(i for i in range(1, n) if lyndon_by_definition(w[i:]))
+            assert standard_factorization(w) == (w[:i], w[i:]), w
+
+
 def test_monomial_expand_leading_term():
     # leading word of the expansion of ("01","01") is 0101 with coeff 2!
     e = monomial_expand(("01", "01"))
     assert max(e.support(), key=lambda w: (len(w), w)) == "0101"
     assert e["0101"] == 2
     assert e == shuffle(word_poly("01"), word_poly("01"))
+    # the triangularity radford_decompose_poly reads its pivot from: w is
+    # the largest word of its CFL monomial's expansion, with coefficient the
+    # product of the factor multiplicities' factorials
+    for n in range(12):
+        for w in all_words(n):
+            fac = cfl_factor(w)
+            e = monomial_expand(tuple(sorted(fac)))
+            assert max(e.support(), key=lambda u: (len(u), u)) == w
+            assert e[w] == prod(factorial(m) for m in Counter(fac).values())
 
 
 def test_radford_single_words():
@@ -141,7 +176,7 @@ def test_radford_roundtrip(pairs):
 def test_radford_monomials_sorted(w):
     for mono in radford_decompose(w).support():
         assert tuple(sorted(mono)) == mono
-        assert all(is_lyndon(f) for f in mono)
+        assert all(lyndon_by_definition(f) for f in mono)
 
 
 def test_h2_words_have_h2_factors():
