@@ -16,7 +16,6 @@ from math import comb, factorial, gcd
 from typing import NamedTuple
 
 from .engine import echelonize_degree
-from .lyndon import lyndon_words
 from .words import LinComb
 
 __all__ = [
@@ -132,15 +131,24 @@ def n23_counts(max_p: int) -> list[int]:
 
 
 def two_three_lyndon(max_weight: int) -> dict[int, list[tuple[int, ...]]]:
-    """Lyndon words over the ordered alphabet 2 < 3, grouped by letter sum."""
+    """Lyndon words over the ordered alphabet 2 < 3, grouped by letter sum:
+    Duval's generation, never extending a word whose letter sum passes
+    max_weight (every word with that prefix is heavier)."""
     buckets: dict[int, list[tuple[int, ...]]] = {
         w: [] for w in range(2, max_weight + 1)}
-    for length in range(1, max_weight // 2 + 1):
-        for w in lyndon_words(length, "23"):
-            comp = tuple(int(ch) for ch in w)
-            weight = sum(comp)
-            if weight <= max_weight:
-                buckets[weight].append(comp)
+    w, weight = [2], 2
+    while w:
+        if weight <= max_weight:
+            buckets[weight].append(tuple(w))
+            m = len(w)
+            while weight <= max_weight:
+                w.append(w[-m])
+                weight += w[-1]
+        while w and w[-1] == 3:
+            weight -= w.pop()
+        if w:
+            w[-1] = 3
+            weight += 1
     for lst in buckets.values():
         lst.sort(key=lambda c: (len(c), c))
     return buckets
@@ -161,9 +169,16 @@ def _series_mul(a: LinComb, b: LinComb, cap: int) -> LinComb:
     return a.product(b, mul)
 
 
-def _geometric_x(step: int, cap: int) -> LinComb:
-    # 1 / (1 - x^step)
-    return LinComb({(i, 0): 1 for i in range(0, cap + 1, step)})
+def _product(powers: dict[tuple[int, int], int], cap: int) -> LinComb:
+    # prod (1 - x^n y^k)^e over {(n, k): e}, truncated above x^cap and y^cap;
+    # (x^n y^k)^j has coefficient (-1)^j C(e, j), or C(j - e - 1, j) if e < 0
+    prod = _ONE
+    for (n, k), e in powers.items():
+        factor = LinComb({(n * j, k * j): comb(j - e - 1, j) if e < 0
+                          else (-1) ** j * comb(e, j)
+                          for j in range(cap // max(n, k) + 1)})
+        prod = _series_mul(prod, factor, cap)
+    return prod
 
 
 def _neg_log1p(u: LinComb, cap: int) -> LinComb:
@@ -187,35 +202,29 @@ class BkTable(NamedTuple):
     violations: tuple[tuple[int, int, Fraction], ...]
 
 
-def _bk_series(max_weight: int) -> LinComb:
+def _bk_series(cap: int) -> LinComb:
     # 1 - x^3 y / (1 - x^2) + x^12 y^2 (1 - y^2) / ((1 - x^4) (1 - x^6))
-    cap = max_weight
-    term1 = _series_mul(LinComb.term((3, 1)), _geometric_x(2, cap), cap)
-    term2 = LinComb.term((12, 2))
-    for f in (_ONE - LinComb.term((0, 2)), _geometric_x(4, cap),
-              _geometric_x(6, cap)):
-        term2 = _series_mul(term2, f, cap)
+    term1 = _series_mul(LinComb.term((3, 1)), _product({(2, 0): -1}, cap), cap)
+    term2 = _series_mul(LinComb.term((12, 2)), _product(
+        {(0, 2): 1, (4, 0): -1, (6, 0): -1}, cap), cap)
     return _ONE - term1 + term2
 
 
 def bk_counts(max_weight: int) -> BkTable:
-    """Bigraded generator counts D_{n,k} extracted from the conjectural
-    series; integrality violations are reported, never rounded away."""
+    """Bigraded generator counts D_{n,k}, Moebius-inverted from the series'
+    log; integrality violations are reported, never rounded away."""
     if max_weight < 3:
         raise ValueError("max_weight must be at least 3")
     c = _neg_log1p(_bk_series(max_weight) - _ONE, max_weight)
 
     values: dict[tuple[int, int], int] = {}
-    exact: dict[tuple[int, int], Fraction] = {}
     violations = []
     for n in range(1, max_weight + 1):
         for k in range(1, max_weight + 1):
-            d = Fraction(c[(n, k)])
+            # c_{n,k} = sum_{j | gcd} D_{n/j,k/j} / j, inverted
             g = gcd(n, k)
-            for j in range(2, g + 1):
-                if g % j == 0:
-                    d -= Fraction(exact.get((n // j, k // j), 0), j)
-            exact[(n, k)] = d
+            d = sum(Fraction(mobius(j), j) * c[(n // j, k // j)]
+                    for j in range(1, g + 1) if g % j == 0)
             if d.denominator != 1 or d < 0:
                 violations.append((n, k, d))
             if d.denominator == 1 and d:
@@ -227,22 +236,13 @@ def bk_reconstruct(table: BkTable) -> bool:
     """Re-exponentiation: prod (1 - x^n y^k)^D_{n,k} must reproduce the
     series the counts were extracted from, within the truncation caps."""
     cap = table.max_weight
-    prod = _ONE
-    for (n, k), d in sorted(table.values.items()):
-        if d < 0:
-            return False
-        factor = LinComb({(n * j, k * j): (-1) ** j * comb(d, j)
-                          for j in range(cap // n + 1)})
-        prod = _series_mul(prod, factor, cap)
-    return prod == _bk_series(cap)
+    return (all(d >= 0 for d in table.values.values())
+            and _product(table.values, cap) == _bk_series(cap))
 
 
 def dim_bridge(max_n: int) -> tuple[list[int], list[int]]:
     """Coefficients of prod_p (1 - t^p)^(-N(p)) next to the dimension table;
     the two agree termwise when the counts are consistent."""
     N = n23_counts(max_n)
-    prod = _ONE
-    for p in range(1, max_n + 1):
-        for _ in range(N[p]):
-            prod = _series_mul(prod, _geometric_x(p, max_n), max_n)
+    prod = _product({(p, 0): -N[p] for p in range(1, max_n + 1)}, max_n)
     return [prod[(n, 0)] for n in range(max_n + 1)], zagier_dims(max_n)

@@ -57,24 +57,23 @@ def is_lyndon(w: Word) -> bool:
     return cfl_factor(w) == [w]
 
 
-def lyndon_words(n: int, alphabet: str = "01") -> list[Word]:
+def lyndon_words(n: int) -> list[Word]:
     """All Lyndon words of length exactly n, lexicographic (Duval)."""
     if n < 1:
         return []
-    k = len(alphabet)
     out = []
-    w = [0]
+    w = ["0"]
     while True:
         if len(w) == n:
-            out.append("".join(alphabet[c] for c in w))
+            out.append("".join(w))
         m = len(w)
         while len(w) < n:
             w.append(w[len(w) - m])
-        while w and w[-1] == k - 1:
+        while w and w[-1] == "1":
             w.pop()
         if not w:
             return out
-        w[-1] += 1
+        w[-1] = "1"
 
 
 def cfl_factor(w: Word) -> list[Word]:

@@ -2,21 +2,26 @@
 
 Independent oracles: Bernoulli numbers against power-series inversion of
 (e^t-1)/t, even zeta coefficients against the classical closed forms,
-necklace counts against direct Lyndon enumeration, and the bigraded table
-against re-exponentiation of the defining series.
+necklace counts against direct Lyndon enumeration (and that enumeration
+against the definition), the bigraded table against re-exponentiation of the
+defining series and against the subtractive recursion, and the binomial-power
+product against repeated multiplication.
 """
 
 from fractions import Fraction
+import itertools
 from math import factorial, gcd
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mzv import conjectures
 from mzv.conjectures import (
+    _ONE,
     BkTable,
+    _product,
     _series_mul,
     bernoulli,
     bk_counts,
@@ -155,10 +160,29 @@ def test_two_three_words_frozen():
 
 
 def test_two_three_counts_match_enumeration():
-    counts = n23_counts(16)
-    tl = two_three_lyndon(16)
-    for p in range(2, 17):
+    # 50 is what CI pins through `n23 --max 50`; 60 holds too, but builds
+    # 1.5 M words in about 400 MiB
+    counts = n23_counts(50)
+    tl = two_three_lyndon(50)
+    for p in range(2, 51):
         assert len(tl[p]) == counts[p], p
+
+
+def test_two_three_words_match_the_definition():
+    # every {2,3} composition of weight <= m, kept when it is smaller than
+    # each of its proper right factors
+    def lyndon(c):
+        return all(c < c[i:] for i in range(1, len(c)))
+
+    brute: dict[int, list[tuple[int, ...]]] = {}
+    for length in range(1, 13):
+        for c in itertools.product((2, 3), repeat=length):
+            if sum(c) <= 24 and lyndon(c):
+                brute.setdefault(sum(c), []).append(c)
+    for m in range(25):
+        want = {p: sorted(brute.get(p, []), key=lambda c: (len(c), c))
+                for p in range(2, m + 1)}
+        assert two_three_lyndon(m) == want, m
 
 
 def test_two_three_entries_are_lyndon():
@@ -169,6 +193,38 @@ def test_two_three_entries_are_lyndon():
             assert set(c) <= {2, 3}
             w = "".join(str(d) for d in c)
             assert all(w < w[i:] + w[:i] for i in range(1, len(w)))
+
+
+# ---------------------------------------------------------------------------
+# the binomial-power product
+
+FACTOR_KEYS = st.tuples(st.integers(0, 5), st.integers(0, 4)).filter(any)
+
+
+@given(st.dictionaries(FACTOR_KEYS, st.integers(0, 5), max_size=3),
+       st.integers(0, 14))
+@settings(max_examples=80, deadline=None)
+@example({(0, 2): 1, (4, 0): 3}, 12)
+def test_product_against_repeated_multiplication(powers, cap):
+    oracle = _ONE
+    for (n, k), e in powers.items():
+        for _ in range(e):
+            oracle = _series_mul(oracle, LinComb({(0, 0): 1, (n, k): -1}), cap)
+    assert _product(powers, cap) == oracle
+
+
+@given(st.dictionaries(FACTOR_KEYS, st.integers(1, 5), min_size=1,
+                       max_size=3),
+       st.integers(0, 14))
+@settings(max_examples=80, deadline=None)
+@example({(0, 2): 2, (3, 0): 1, (2, 1): 4}, 12)
+def test_negative_powers_invert_positive_ones(powers, cap):
+    inverse = _product({f: -e for f, e in powers.items()}, cap)
+    assert _series_mul(_product(powers, cap), inverse, cap) == _ONE
+    # and one factor at a time, including those with n = 0 or k = 0
+    for f, e in powers.items():
+        one = _series_mul(_product({f: e}, cap), _product({f: -e}, cap), cap)
+        assert one == _ONE, f
 
 
 # ---------------------------------------------------------------------------
@@ -217,6 +273,55 @@ def test_bk_reconstruct_binomial_factor(values, cap):
         assert bk_reconstruct(BkTable(cap, values, ()))
 
 
+def bk_counts_by_recursion(max_weight):
+    # the subtraction D_{n,k} = c_{n,k} - sum_{1 < j | gcd} D_{n/j,k/j} / j,
+    # solved in order of n and k
+    c = conjectures._neg_log1p(conjectures._bk_series(max_weight) - _ONE,
+                               max_weight)
+    values, exact, violations = {}, {}, []
+    for n in range(1, max_weight + 1):
+        for k in range(1, max_weight + 1):
+            d = Fraction(c[(n, k)])
+            g = gcd(n, k)
+            for j in range(2, g + 1):
+                if g % j == 0:
+                    d -= Fraction(exact.get((n // j, k // j), 0), j)
+            exact[(n, k)] = d
+            if d.denominator != 1 or d < 0:
+                violations.append((n, k, d))
+            if d.denominator == 1 and d:
+                values[(n, k)] = int(d)
+    return values, tuple(violations)
+
+
+SERIES_TERMS = st.dictionaries(
+    st.tuples(st.integers(1, 4), st.integers(0, 4)),
+    st.fractions(-3, 3, max_denominator=4).filter(bool), max_size=4)
+
+
+@given(SERIES_TERMS, st.integers(3, 8))
+@settings(max_examples=60, deadline=None)
+@example({(1, 1): Fraction(1, 2)}, 8)
+@example({(1, 1): -1, (2, 2): Fraction(-2, 3), (2, 1): 1}, 8)
+def test_bk_counts_agrees_with_the_recursion_on_any_series(terms, cap):
+    series = _ONE + LinComb(terms)
+    with mock.patch.object(conjectures, "_bk_series", lambda c: series):
+        table = bk_counts(cap)
+        assert (table.values, table.violations) == bk_counts_by_recursion(cap)
+
+
+def test_bk_counts_reports_negative_and_non_integral_counts():
+    # -log(1 + x y / 2) = -x y / 2 + x^2 y^2 / 8 - ..., so D_{1,1} = -1/2
+    # and D_{2,2} = 1/8 + 1/4 = 3/8
+    series = _ONE + LinComb({(1, 1): Fraction(1, 2)})
+    with mock.patch.object(conjectures, "_bk_series", lambda c: series):
+        table = bk_counts(4)
+    assert table.values == {}
+    assert table.violations[:2] == ((1, 1, Fraction(-1, 2)),
+                                     (2, 2, Fraction(3, 8)))
+    assert not bk_reconstruct(BkTable(4, {(1, 1): -1}, ()))
+
+
 def test_bk_reconstruction_detects_tampering():
     table = bk_counts(9)
     forged = dict(table.values)
@@ -230,6 +335,11 @@ def test_bk_reconstruction_detects_tampering():
 def test_dim_bridge_to_12():
     product, dims = dim_bridge(12)
     assert product == dims == DIMS_TO_12
+
+
+def test_dim_bridge_to_60():
+    product, dims = dim_bridge(60)
+    assert product == dims
 
 
 def test_dim_bridge_prefix_consistency():

@@ -85,12 +85,6 @@ def test_lyndon_counts():
         assert len(lyndon_words(n)) == cnt
 
 
-def test_lyndon_words_ternary():
-    assert lyndon_words(1, "abc") == ["a", "b", "c"]
-    assert lyndon_words(2, "abc") == ["ab", "ac", "bc"]
-    assert len(lyndon_words(3, "abc")) == 8
-
-
 def test_cfl_examples():
     assert cfl_factor("0101") == ["01", "01"]
     assert cfl_factor("10") == ["1", "0"]
