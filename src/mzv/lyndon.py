@@ -12,9 +12,10 @@ expansion of the monomial built from a word's Chen-Fox-Lyndon factors has
 that word as its lexicographically largest term, with coefficient equal to
 the product of the factor multiplicities' factorials.  The cascade reads
 that coefficient off the memoized expansion it subtracts, and the word being
-rewritten cancels through its own term.  The bracketed forms and right
-residuals are kept for the test suite (the Leibniz rule) and acceptance
-criterion 09; no module under src calls them.
+rewritten cancels through its own term.  The right residual by x1 is
+regularize's x1 derivative.  The bracketed forms are kept for the test
+suite (the Leibniz rule) and acceptance criterion 09; no module under src
+calls them.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .words import (
     LinComb,
     Word,
     _format_terms,
+    all_words,
     concat,
     shuffle,
     word_poly,
@@ -58,22 +60,10 @@ def is_lyndon(w: Word) -> bool:
 
 
 def lyndon_words(n: int) -> list[Word]:
-    """All Lyndon words of length exactly n, lexicographic (Duval)."""
+    """All Lyndon words of length exactly n, lexicographic."""
     if n < 1:
         return []
-    out = []
-    w = ["0"]
-    while True:
-        if len(w) == n:
-            out.append("".join(w))
-        m = len(w)
-        while len(w) < n:
-            w.append(w[len(w) - m])
-        while w and w[-1] == "1":
-            w.pop()
-        if not w:
-            return out
-        w[-1] = "1"
+    return [w for w in all_words(n) if is_lyndon(w)]
 
 
 def cfl_factor(w: Word) -> list[Word]:

@@ -2,11 +2,14 @@
 
 H1 is a polynomial algebra over H2 in the single variable x1 (under shuffle),
 so every H1 polynomial p has a unique expansion p = sum_i c_i sh 1^(sh i)
-with all c_i in H2.  reg projects onto c_0.  Subtracting the stuffle product
-from the shuffle product of the same pair of zeta arguments and applying reg
-yields a linear combination of admissible words whose zeta-image vanishes;
-collecting those rows per weight gives the relation matrices the engine
-reduces.
+with all c_i in H2.  reg projects onto c_0 (Ihara, Kaneko and Zagier,
+Compositio Math. 2006); in closed form reg(1^k 0 v) = (-1)^k 0 (1^k sh v)
+and reg(1^k) = 0 for k >= 1, proved under reg.  Deleting a leading x1 is a
+shuffle derivation d that kills H2, so c_i = reg(d^i p) / i!.  Subtracting
+the stuffle product from the shuffle product of the same pair of zeta
+arguments and applying reg yields a linear combination of admissible words
+whose zeta-image vanishes; collecting those rows per weight gives the
+relation matrices the engine reduces.
 """
 
 from __future__ import annotations
@@ -16,10 +19,12 @@ from math import factorial
 from typing import NamedTuple
 
 from .linalg import SparseMatrix
+from .lyndon import right_residual
 from .words import (
     LinComb,
     Word,
     comp_to_word,
+    concat,
     h1_words,
     h2_words,
     in_h1,
@@ -57,40 +62,46 @@ class X1Decomposition(NamedTuple):
         return total
 
 
-def _leading_ones(w: Word) -> int:
-    return len(w) - len(w.lstrip("1"))
-
-
 def x1_decompose(p: LinComb) -> X1Decomposition:
     """Unique expansion of an H1 polynomial as sum_i c_i sh x1^(sh i).
 
-    Strips maximal leading-1 blocks: for w = 1^k u with u in H2 or empty,
-    u sh 1^k-word = w + terms with fewer than k leading ones, and the 1^k
-    word equals (1/k!) x1^(sh k).  Each pass removes the current maximal k,
-    so the loop terminates.
+    c_i = reg(d^i p) / i!, with d the derivation that deletes a leading x1;
+    d shortens every word, so the loop terminates.
+    """
+    x1 = word_poly("1")
+    coeffs = [reg(p)]
+    while p := right_residual(p, x1):
+        coeffs.append(Fraction(1, factorial(len(coeffs))) * reg(p))
+    return X1Decomposition(tuple(coeffs))
+
+
+def _reg_word(w: Word) -> LinComb:
+    # w = 1^k u with k >= 1 and u empty or starting with 0
+    u = w.lstrip("1")
+    if not u:
+        return LinComb.zero()
+    k = len(w) - len(u)
+    return (-1) ** k * concat(word_poly("0"),
+                              shuffle(word_poly("1" * k), word_poly(u[1:])))
+
+
+def reg(p: LinComb) -> LinComb:
+    """Constant term of the x1 expansion; identity on H2 polynomials.
+
+    reg is the shuffle homomorphism that kills x1 and fixes H2, so
+    reg(1^k) = reg(x1^(sh k)) / k! = 0 for k >= 1, and word by word
+    reg(1^k 0 v) = (-1)^k 0 (1^k sh v), by induction on k from k = 0, where
+    0v is in H2.  By where the 0 lands, 1^k sh 0v is the sum over j <= k of
+    1^j 0 (1^(k-j) sh v), and its reg is reg(1^k) reg(0v) = 0.  By induction
+    the term j < k maps to (-1)^j C(k, j) 0 (1^k sh v), as 1^j sh 1^(k-j) =
+    C(k, j) 1^k, and sum_{j<=k} (-1)^j C(k, j) = 0 leaves (-1)^k for j = k.
     """
     for w in p.support():
         if not in_h1(w):
             raise ValueError(f"word not in H1: {w!r}")
-    buckets: dict[int, LinComb] = {}
-    work = p
-    while work:
-        k = max(_leading_ones(w) for w in work.support())
-        if k == 0:
-            buckets[0] = work
-            break
-        q = LinComb._raw({w[k:]: c for w, c in work.items()
-                          if _leading_ones(w) == k})
-        buckets[k] = Fraction(1, factorial(k)) * q
-        work = work - shuffle(q, word_poly("1" * k))
-    m = max(buckets) if buckets else 0
-    coeffs = tuple(buckets.get(i, LinComb.zero()) for i in range(m + 1))
-    return X1Decomposition(coeffs)
-
-
-def reg(p: LinComb) -> LinComb:
-    """Constant term of the x1 expansion; identity on H2 polynomials."""
-    return x1_decompose(p).coefficients[0]
+    # the words without a leading 1 are in H2, and reg fixes them
+    ones = LinComb._raw({w: c for w, c in p.items() if w.startswith("1")})
+    return p - ones + ones.map_linear(_reg_word) if ones else p
 
 
 def double_shuffle_relation(w1: Word, w0: Word) -> LinComb:
@@ -118,10 +129,7 @@ def knt_system(n: int) -> SparseMatrix:
         raise ValueError("weight must be at least 2")
     rows = []
     for w0 in KNT_W0_SET:
-        k = n - len(w0)
-        if k < 2:
-            continue
-        for w1 in h2_words(k):
+        for w1 in h2_words(n - len(w0)):
             rows.append(double_shuffle_relation(w1, w0))
     return SparseMatrix(h2_words(n), rows)
 

@@ -77,6 +77,11 @@ def test_lyndon_words_against_brute():
         assert got == sorted(got)
 
 
+def test_lyndon_words_below_length_one():
+    # all_words(-1) raises, so the filter needs its guard
+    assert lyndon_words(0) == lyndon_words(-1) == []
+
+
 def test_lyndon_counts():
     # necklace-counting values for a binary alphabet
     expected = {1: 2, 2: 1, 3: 2, 4: 3, 5: 6, 6: 9, 7: 18, 8: 30, 9: 56,

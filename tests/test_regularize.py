@@ -1,5 +1,6 @@
 """Regularization and relation-system tests."""
 
+import hashlib
 from fractions import Fraction
 from math import factorial
 
@@ -18,6 +19,7 @@ from mzv.regularize import (
 )
 from mzv.words import (
     LinComb,
+    format_word_poly,
     h1_words,
     h2_words,
     in_h2,
@@ -60,6 +62,31 @@ def test_x1_reconstruction_exhaustive():
             assert x1_decompose(word_poly(w)).reconstruct() == word_poly(w)
 
 
+# H1 polynomials: 1-4 words 1^k u of at most 10 letters, u an H2 word or
+# empty, with rational coefficients
+_h2_upto_10 = [""] + [w for n in range(2, 11) for w in h2_words(n)]
+
+
+def _h1_word_with_ones(k):
+    tails = [u for u in _h2_upto_10 if k + len(u) <= 10]
+    return st.sampled_from(tails).map(lambda u: "1" * k + u)
+
+
+h1_poly_st = st.dictionaries(
+    st.integers(0, 10).flatmap(_h1_word_with_ones),
+    st.fractions(min_value=-5, max_value=5, max_denominator=7),
+    min_size=1, max_size=4).map(LinComb)
+
+
+@given(h1_poly_st)
+@settings(max_examples=60, deadline=None)
+def test_x1_decompose_polynomials(p):
+    d = x1_decompose(p)
+    assert d.reconstruct() == p
+    for c in d.coefficients:
+        assert all(in_h2(v) for v in c.support())
+
+
 def test_shuffle_power_of_x1():
     # reconstruct and x1_decompose both use x1^(sh i) = i! 1^i
     power = LinComb.term("")
@@ -89,6 +116,15 @@ def test_reg_fixes_h2():
 
 def test_reg_11_vanishes():
     assert reg(word_poly("11")) == LinComb.zero()
+
+
+def test_reg_matches_recorded_output():
+    # every H1 word through length 14; the digest was recorded from the
+    # x1-expansion elimination, a computation independent of the closed form
+    text = "".join(f"{w} {format_word_poly(reg(word_poly(w)))}\n"
+                   for n in range(1, 15) for w in h1_words(n))
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "514f58e201fb5258901f9c0f4b41550286ad3abf5bcd0f43eee8f3431dc7bfa3")
 
 
 h1_word_st = st.integers(1, 6).flatmap(
