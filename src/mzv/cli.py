@@ -20,6 +20,7 @@ from .lyndon import format_lyndon_poly, radford_decompose
 from .regularize import full_system, reg
 from .words import (
     LinComb,
+    comp_sort_key,
     format_comp,
     format_comp_poly,
     format_word_poly,
@@ -92,7 +93,7 @@ def cmd_shuffle(args) -> int:
 def cmd_stuffle(args) -> int:
     c1, c2 = parse_comp(args.c1), parse_comp(args.c2)
     return _print_terms(args, stuffle(LinComb.term(c1), LinComb.term(c2)),
-                        format_comp_poly, key=lambda c: (sum(c), len(c), c),
+                        format_comp_poly, key=comp_sort_key,
                         label=format_comp)
 
 

@@ -267,13 +267,9 @@ def identity_weight(ident: Identity):
 
 
 def _normalize_side(side: LinComb, cache) -> LinComb:
-    out = LinComb.zero()
-    for mono, coeff in side.items():
-        gp = LinComb.term(())
-        for f in mono:
-            gp = gp_mul(gp, express_in_generators(f, cache))
-        out = out + coeff * gp
-    return out
+    return side.map_linear(lambda mono: functools.reduce(
+        gp_mul, (express_in_generators(f, cache) for f in mono),
+        LinComb.term(())))
 
 
 def verify_identity(ident: Identity, cache=None):
@@ -320,9 +316,7 @@ def check_polynomial_freeness(n: int, cache=None) -> FreenessReport:
         generator expressions of its factors."""
         if len(mono) == 1:
             return {mono[0]: 1}, 1
-        gp = LinComb.term(())
-        for f in mono:
-            gp = gp_mul(gp, factor(f))
+        gp = functools.reduce(gp_mul, map(factor, mono), LinComb.term(()))
         den = lcm(*(v.denominator for v in gp.values()))
         return {g: int(v * den) for g, v in gp.items()}, den
 
@@ -333,12 +327,9 @@ def check_polynomial_freeness(n: int, cache=None) -> FreenessReport:
         lp = radford_decompose_poly(LinComb.term(u) - r)
         terms = [(c, *substitute(mono)) for mono, c in lp.items()]
         den = lcm(*(c.denominator * d for c, _, d in terms))
-        row: dict = {}
-        for c, sub, d in terms:
-            f = c.numerator * (den // (c.denominator * d))
-            for k, v in sub.items():
-                row[k] = row.get(k, 0) + f * v
-        sub_rows.append({k: v for k, v in row.items() if v})
+        sub_rows.append(LinComb.sum(
+            (k, c.numerator * (den // (c.denominator * d)) * v)
+            for c, sub, d in terms for k, v in sub.items()))
 
     # a column is a Lyndon word (a str) or a generator monomial (a tuple);
     # singles are scanned first, least preferred first within them
@@ -401,7 +392,7 @@ def parse_generator_poly(text: str) -> LinComb:
         pos = bisect.bisect(range(len(text) + 1), False, key=lambda k: not any(
             expr.fullmatch(text[:k] + s) for s in _GEN_COMPLETIONS)) - 1
         raise ValueError(f"bad generator polynomial at position {pos}")
-    total: dict = {}
+    terms = []
     for m in term.finditer(text):
         sign, num, den = m.group(1, 2, 3)
         if den is not None and not int(den):
@@ -413,11 +404,6 @@ def parse_generator_poly(text: str) -> LinComb:
                 raise ValueError("index parts must be positive at position "
                                  f"{m.start(4) + f.start()}")
             factors.append(parts)
-        coeff = Fraction(int(sign + (num or "1")), int(den or 1))
-        key = canonical_monomial(factors)
-        # as LinComb.__add__ does, so the keys keep the order of a fold
-        if s := total.get(key, 0) + coeff:
-            total[key] = s
-        else:
-            total.pop(key, None)
-    return LinComb._raw(total)
+        terms.append((canonical_monomial(factors),
+                      Fraction(int(sign + (num or "1")), int(den or 1))))
+    return LinComb.sum(terms)

@@ -149,16 +149,12 @@ def _deriv2(E: dict) -> dict:
     return out
 
 
-def _eval(E: dict, cal: int, logs: list, B: int,
-          absolute: bool = False) -> int:
+def _eval(E: dict, cal: int, logs: list, B: int) -> int:
     """E at n = cal, given logs[p] = log(cal)^p in fixed point."""
     if not E:
         return 0
     top = max(a for a, _ in E)
-    total = 0
-    for (a, p), c in E.items():
-        x = c * logs[p]
-        total += (abs(x) if absolute else x) * cal ** (top - a)
+    total = sum(c * logs[p] * cal ** (top - a) for (a, p), c in E.items())
     return _rdiv(total, cal ** top << B)
 
 
@@ -195,15 +191,16 @@ def _compute(comp: Composition, dps: int, cal: int, em_order: int,
             for num, den in em[:em_order]:
                 _add_scaled(phi, d, num, den)
                 d = _deriv2(d)
-            # first omitted correction, taken at the calibration point
+            # first omitted correction, taken at the calibration point term
+            # by term in magnitude: |c log(cal)^p| = |c| logs[p], as cal > 1
             num, den = em[em_order]
-            slack += _rdiv(abs(num) * _eval(d, cal, logs, B, absolute=True),
-                           den)
+            slack += _rdiv(abs(num) * _eval({k: abs(c) for k, c in d.items()},
+                                            cal, logs, B), den)
             const = w[cal] - _eval(phi, cal, logs, B)
             _add(phi, (0, 0), const)
             # magnitude of the last kept expansion order
-            tail_band = {k: c for k, c in phi.items() if k[0] == amax}
-            slack += _eval(tail_band, cal, logs, B, absolute=True)
+            tail_band = {k: abs(c) for k, c in phi.items() if k[0] == amax}
+            slack += _eval(tail_band, cal, logs, B)
             w_next, e_next = w, phi
         value = mp.ldexp(e_next.get((0, 0), 0), -B)
         bound = 8 * mp.ldexp(slack, -B) + \

@@ -56,10 +56,9 @@ class X1Decomposition(NamedTuple):
 
     def reconstruct(self) -> LinComb:
         # x1^(sh i) = i! 1^i
-        total = LinComb.zero()
-        for i, c in enumerate(self.coefficients):
-            total = total + shuffle(c, LinComb.term("1" * i, factorial(i)))
-        return total
+        return LinComb.sum(
+            kv for i, c in enumerate(self.coefficients)
+            for kv in shuffle(c, LinComb.term("1" * i, factorial(i))).items())
 
 
 def x1_decompose(p: LinComb) -> X1Decomposition:

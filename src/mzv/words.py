@@ -14,7 +14,10 @@ combination of hashable keys and is one LinComb: an immutable dict from
 each key to its nonzero coefficient, where a missing key reads 0.
 Coefficients are exact: fractions.Fraction, with plain int tolerated as a
 denominator-one rational.  Every product of two such combinations is the
-bilinear extension LinComb.product of a product on keys.
+bilinear extension LinComb.product of a product on keys.  Every sum, product
+and substitution is one fold, LinComb.sum, so one rule sets the key order of
+every result, and numeric.identity_values adds a side's terms in mpf in that
+order (which can move the last digit it prints).
 
 The shuffle and the stuffle are both quasi-shuffle products (Hoffman,
 Quasi-shuffle products, 2000) and share one recursion: the stuffle of two
@@ -25,8 +28,8 @@ that merge the two leading parts y_i, y_j into y_{i+j}.
 from __future__ import annotations
 
 import re
-from itertools import product as _cartesian
-from typing import Callable, Hashable, Mapping
+from itertools import chain, product as _cartesian
+from typing import Callable, Hashable, Iterable, Mapping
 
 Word = str
 Composition = tuple[int, ...]
@@ -56,6 +59,7 @@ __all__ = [
     "stuffle",
     "concat",
     "word_sort_key",
+    "comp_sort_key",
     "format_word_poly",
     "format_comp",
     "parse_comp",
@@ -70,6 +74,10 @@ class LinComb(dict):
     fresh LinComb and every mutator raises TypeError, so instances can be
     shared freely (the expansion memo, the generator maps and the parsed
     rules rely on this).  Results are built in a plain dict and wrapped once.
+
+    Every result that sums terms comes from LinComb.sum, which folds them
+    in order: a key whose running sum reaches 0 is dropped, and a later
+    term adds it back at the end.
     """
 
     __slots__ = ()
@@ -93,6 +101,18 @@ class LinComb(dict):
     def zero(cls) -> "LinComb":
         return cls._raw({})
 
+    @classmethod
+    def sum(cls, terms: Iterable[tuple[Hashable, object]]) -> "LinComb":
+        """The sum of (key, coefficient) terms, folded in order under the
+        rule of the class docstring."""
+        d = {}
+        for k, c in terms:
+            if s := d.get(k, 0) + c:
+                d[k] = s
+            else:
+                d.pop(k, None)
+        return cls._raw(d)
+
     support = dict.keys
 
     def __missing__(self, key):
@@ -107,14 +127,7 @@ class LinComb(dict):
     def __add__(self, other: "LinComb") -> "LinComb":
         if not isinstance(other, LinComb):
             return NotImplemented
-        d = dict(self)
-        for k, c in other.items():
-            s = d.get(k, 0) + c
-            if s:
-                d[k] = s
-            else:
-                d.pop(k, None)
-        return LinComb._raw(d)
+        return LinComb.sum(chain(self.items(), other.items()))
 
     def __sub__(self, other: "LinComb") -> "LinComb":
         if not isinstance(other, LinComb):
@@ -133,31 +146,17 @@ class LinComb(dict):
 
     def map_linear(self, f: Callable[[Hashable], "LinComb"]) -> "LinComb":
         """Substitute f(key) for every key (f returns a LinComb)."""
-        d = {}
-        for k, c in self.items():
-            for k2, c2 in f(k).items():
-                s = d.get(k2, 0) + c * c2
-                if s:
-                    d[k2] = s
-                else:
-                    d.pop(k2, None)
-        return LinComb._raw(d)
+        return LinComb.sum((k2, c * c2)
+                           for k, c in self.items() for k2, c2 in f(k).items())
 
     def product(self, other: "LinComb",
                 mul: Callable[[Hashable, Hashable], Mapping]) -> "LinComb":
         """Bilinear extension of mul, which maps two keys to the keys of
         their product with integer multiplicities."""
-        d = {}
-        for k1, c1 in self.items():
-            for k2, c2 in other.items():
-                c = c1 * c2
-                for k, mult in mul(k1, k2).items():
-                    s = d.get(k, 0) + c * mult
-                    if s:
-                        d[k] = s
-                    else:
-                        del d[k]
-        return LinComb._raw(d)
+        return LinComb.sum((k, c1 * c2 * mult)
+                           for k1, c1 in self.items()
+                           for k2, c2 in other.items()
+                           for k, mult in mul(k1, k2).items())
 
     def __repr__(self) -> str:
         if not self:
@@ -231,6 +230,11 @@ def validate_comp(c: Composition) -> Composition:
 
 def comp_weight(c: Composition) -> int:
     return sum(c)
+
+
+def comp_sort_key(c: Composition) -> tuple[int, int, Composition]:
+    # canonical term order: weight, then depth, then lexicographic
+    return (comp_weight(c), len(c), c)
 
 
 def is_admissible(c: Composition) -> bool:
@@ -361,6 +365,6 @@ def format_word_poly(p: LinComb) -> str:
 
 
 def format_comp_poly(p: LinComb) -> str:
-    keys = sorted(p.support(), key=lambda c: (comp_weight(c), len(c), c))
+    keys = sorted(p.support(), key=comp_sort_key)
     pairs = [(f"z({format_comp(c)})" if c else "", p[c]) for c in keys]
     return _format_terms(pairs)

@@ -247,6 +247,52 @@ def test_verify_reports_exact_residual(cache):
     assert format_generator_poly(residual) == "7/2*z(5) - 2*z(2)*z(3)"
 
 
+def add_pairwise(out: dict, other) -> dict:
+    # out + other as LinComb.__add__ ran it before LinComb.sum
+    for k, c in other.items():
+        s = out.get(k, 0) + c
+        if s:
+            out[k] = s
+        else:
+            out.pop(k, None)
+    return out
+
+
+# the pairwise fold verify_identity normalized a side with before, kept as
+# the oracle of the residual's values and key order
+def normalize_side_pairwise(side, cache):
+    out = {}
+    for mono, coeff in side.items():
+        gp = LinComb.term(())
+        for f in mono:
+            gp = gp_mul(gp, express_in_generators(f, cache))
+        add_pairwise(out, coeff * gp)
+    return out
+
+
+# weight-6 monomials whose normal forms share generator monomials, drawn
+# again and again with coefficients that cancel
+side6_st = st.lists(st.tuples(st.sampled_from([
+    ((6,),), ((2, 4),), ((4, 2),), ((3, 3),), ((5, 1),), ((2, 2, 2),),
+    ((2, 1, 3),), ((2,), (4,)), ((3,), (3,)), ((2,), (2,), (2,)),
+    ((2,), (2, 2)), ((3,), (2, 1))]), st.integers(-2, 2)),
+    max_size=8).map(LinComb.sum)
+
+
+@given(side6_st, side6_st)
+# z(6) = 8/35 z(2)^3 cancels z(2)^3 on the left, and z(2)*z(4) = 2/5 z(2)^3
+# adds it back after z(3)^2; z(3)*z(2,1) = z(3)^2 does the same on the right
+@example(*ident("8*z(2)*z(2)*z(2) - 35*z(6) + z(3)*z(3) + 5/2*z(2)*z(4)"
+                " = z(3)*z(3) - z(3)*z(2,1) + z(3,3)"))
+@settings(max_examples=100, deadline=None)
+def test_verify_residual_folds_as_the_pairwise_normalization_did(
+        cache, lhs, rhs):
+    _, residual = verify_identity(Identity(lhs, rhs), cache)
+    want = add_pairwise(normalize_side_pairwise(lhs, cache), {
+        k: -c for k, c in normalize_side_pairwise(rhs, cache).items()})
+    assert list(residual.items()) == list(want.items())
+
+
 def test_verify_rejects_mixed_weight(cache):
     with pytest.raises(ValueError):
         verify_identity(ident("z(2) = z(3)"), cache)

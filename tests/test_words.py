@@ -10,7 +10,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mzv import words
@@ -169,6 +169,92 @@ def test_lincomb_holds_only_nonzero_coefficients():
     assert not LinComb.term("a", 0)
     p = LinComb({"a": 1, "b": -2})
     assert not 0 * p and not p - p
+
+
+# the loops LinComb.__add__, map_linear and product each ran before they
+# went through LinComb.sum, kept as the oracles of its values and key order
+
+def add_term(d: dict, k, c) -> None:
+    s = d.get(k, 0) + c
+    if s:
+        d[k] = s
+    else:
+        d.pop(k, None)
+
+
+def sum_oracle(terms) -> dict:
+    d: dict = {}
+    for k, c in terms:
+        add_term(d, k, c)
+    return d
+
+
+def map_linear_oracle(p, f) -> dict:
+    d: dict = {}
+    for k, c in p.items():
+        for k2, c2 in f(k).items():
+            add_term(d, k2, c * c2)
+    return d
+
+
+def product_oracle(p, q, mul) -> dict:
+    d: dict = {}
+    for k1, c1 in p.items():
+        for k2, c2 in q.items():
+            c = c1 * c2
+            for k, mult in mul(k1, k2).items():
+                add_term(d, k, c * mult)
+    return d
+
+
+# coefficients that cancel one another, and 0
+cancel_st = st.sampled_from([-2, -1, 0, 1, 2, Fraction(1, 2), Fraction(-1, 2)])
+
+
+def lincomb_st(keys):
+    return st.lists(st.tuples(keys, cancel_st), max_size=4).map(LinComb.sum)
+
+
+@given(st.lists(st.tuples(st.sampled_from("abc"), cancel_st), max_size=12))
+@example([("a", 1), ("b", 1), ("a", -1), ("a", 2)])
+@settings(max_examples=300, deadline=None)
+def test_sum_folds_as_the_loops_did(terms):
+    got = LinComb.sum(terms)
+    assert type(got) is LinComb
+    assert list(got.items()) == list(sum_oracle(terms).items())
+
+
+def test_sum_puts_a_cancelled_key_back_at_the_end():
+    terms = [("a", 1), ("b", 1), ("a", -1), ("a", 2)]
+    assert list(LinComb.sum(terms).items()) == [("b", 1), ("a", 2)]
+    p, q = LinComb.term("a", 1) + LinComb.term("b", 1), LinComb.term("a", -1)
+    assert list((p + q + LinComb.term("a", 2)).items()) == [("b", 1), ("a", 2)]
+
+
+@given(lincomb_st(st.sampled_from("abc")),
+       st.fixed_dictionaries({k: lincomb_st(st.sampled_from("xyz"))
+                              for k in "abc"}))
+@settings(max_examples=200, deadline=None)
+def test_map_linear_folds_as_its_loop_did(p, images):
+    got = p.map_linear(images.__getitem__)
+    assert list(got.items()) == list(
+        map_linear_oracle(p, images.__getitem__).items())
+
+
+@given(lincomb_st(words_st), lincomb_st(words_st),
+       lincomb_st(comps_st), lincomb_st(comps_st))
+# cancel keys and add them back: 0101 in the shuffle, (2,1,1), (1,2,1) and
+# (1,1,2) in the stuffle
+@example(LinComb({"01": 1, "10": 1}), LinComb({"01": -1, "10": 2}),
+         LinComb({(2,): 1, (1, 1): 1}), LinComb({(2,): 1, (1, 1): -1}))
+@settings(max_examples=150, deadline=None)
+def test_product_folds_as_its_loop_did(p, q, a, b):
+    for got, want in [
+            (shuffle(p, q), product_oracle(p, q, words._shuffle_words)),
+            (concat(p, q), product_oracle(p, q, lambda u, v: {u + v: 1})),
+            (stuffle(a, b), product_oracle(a, b, words._stuffle_comps))]:
+        assert type(got) is LinComb
+        assert list(got.items()) == list(want.items())
 
 
 @pytest.mark.parametrize("mutate", [
