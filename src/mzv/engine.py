@@ -15,15 +15,20 @@ descending, then the reversed word ascending.  Forward entry updates (one
 prime) drop from 893k to 444k at weight 11 and from 5.99M to 2.65M at
 weight 12 against the preference order.  That RREF gives every word its
 coordinates in the quotient by the row space: a free word f is e_f, and a
-pivot word u is -sum row_u[f] e_f.  A second `rref` takes these d_n
-coordinate rows, with every word as a column, most preferred first.  Its
-pivots, in scan order, are the basis, and the column of any other word is
-that word's rule.  This is the basis and rules one elimination of the
-relation rows in reversed preference order gives: the free columns of an
-RREF are the basis a greedy pass picks from the end of the column order; a
-greedy pass over the quotient coordinates in preference order picks the
-same basis; and a word's coordinates in a basis are unique.  Both RREFs
-are certified over Q, and the step between them is exact.
+pivot word u is -sum row_u[f] e_f.  It comes from `integer_rref` as one
+common denominator D and integer rows, so the coordinates, scaled by D, are
+integers too.  A second `rref` takes these d_n coordinate rows, with every
+word as a column, most preferred first.  Its pivots, in scan order, are the
+basis, and the column of any other word is that word's rule.  This is the
+basis and rules one elimination of the relation rows in reversed
+preference order gives: the free columns of an RREF are the basis a greedy
+pass picks from the end of the column order; a greedy pass over the
+quotient coordinates in preference order picks the same basis; and a
+word's coordinates in a basis are unique.  Both RREFs are certified over
+Q, and the step between them is exact: scaling a row by D > 0 does not
+change the row space.  Each lifts over its own common denominator, so in
+the default order through weight 15 both need one pass at the first
+prime, 2^89 - 1 (linalg's docstring).
 
 Basis words are then resolved against products of the generators
 accumulated from lower weights by one RREF whose rows are the basis
@@ -60,7 +65,7 @@ from fractions import Fraction
 from math import lcm
 from typing import NamedTuple
 
-from .linalg import rref
+from .linalg import integer_rref, rref
 from .lyndon import LyndonMonomial, lyndon_words, radford_decompose_poly
 from .regularize import knt_system
 from .words import (
@@ -200,10 +205,10 @@ def echelonize_degree(n: int, cache=None) -> RewriteTable:
     mat = knt_system(n)
     words = mat.column_labels
     low_fill = sorted(words, key=lambda w: (-w.count("1"), w[::-1]))
-    ech = rref(mat.rows, low_fill)
-    # quotient coordinates, one row per free word f: 1 at f, and -row_u[f]
-    # at each pivot word u
-    coords = {f: {f: 1} for f in words if f not in ech}
+    den, ech = integer_rref(mat.rows, low_fill)
+    # quotient coordinates, one row per free word f, scaled by the common
+    # denominator D: D at f, and -row_u[f] at each pivot word u
+    coords = {f: {f: den} for f in words if f not in ech}
     for u, row in ech.items():
         for f, v in row.items():
             if f != u:
@@ -335,7 +340,7 @@ def check_polynomial_freeness(n: int, cache=None) -> FreenessReport:
     # singles are scanned first, least preferred first within them
     single_cols = sorted(singles, key=key, reverse=True)
     product_cols = sorted(set().union(*sub_rows).difference(singles))
-    ech = rref(sub_rows, single_cols + product_cols)
+    _, ech = integer_rref(sub_rows, single_cols + product_cols)
 
     survivors = sorted((l for l in singles if l not in ech), key=key)
     bad = tuple(g for g in ech if g not in singles)

@@ -20,31 +20,55 @@ pivot label, in the order the scan finds the pivots, to its row, pivot entry
    reduced in full, its zero residues dropped, when it is chosen as a pivot.
    Pivot rows, back-substitution and the returned echelon hold residues in
    [0, p) and no zeros.
-3. Every entry is lifted to Q by Wang's rational reconstruction mod p:
-   a/b with |a|, b <= sqrt(p/2).
-4. The lift R is certified with integers only, before it is returned:
-   - every raw row is orthogonal to the integer-scaled kernel vector
-     e_f - sum_c R_c[f] e_c of each free column f, so the row space lies
-     inside span(R);
+3. The entries are lifted to Q over one denominator D shared across the
+   echelon, starting at D = 1.  For a residue u, let s be u*D mod p in
+   (-p/2, p/2].  If |s| < p/2^(g+1), with g = `_G` = 16, the entry is s/D.
+   Otherwise maximal quotient rational reconstruction (Monagan, ISSAC 2004)
+   writes s as a/b: the remainder and cofactor of the extended Euclidean
+   algorithm on (p, s) just before its largest quotient, accepted only when
+   that quotient exceeds 2^g.  Then D becomes b*D, and the entry is a/D.
+   The lift is D and the numerators u*D mod p in (-p/2, p/2].  An entry
+   whose denominator D does not hold yet passes the integer test with
+   probability about 2^-g; the certificate rejects such a lift.
+4. The lift (D, N) is certified with integers only, before it is returned:
+   - every raw row is orthogonal to the kernel vector
+     D e_f - sum_c N_c[f] e_c of each free column f, so the row space lies
+     inside span(R), where R_c = e_c + sum_f (N_c[f]/D) e_f;
    - the rank mod p is |R|, which is at most the rank over Q;
    - so span(R) is the row space, and R, checked to be in reduced echelon
      form for the column order, is its unique RREF, whatever prime
      produced it.
+   When MQRR fails or the certificate rejects the shared lift, the same
+   residues are lifted entry by entry by Wang's rational reconstruction,
+   a/b with |a|, b <= sqrt(p/2), over the lcm of their denominators, and
+   certified again.
 
-Each prime's pass stands alone.  When reconstruction or the certificate
-fails, the pass is dropped and the next prime of a fixed sequence is tried
-on its own: the Mersenne primes 2^e - 1 for the exponents e of
-`_MERSENNE_EXPONENTS` (OEIS A000043 from 89, without 107), all known
-primes.  A prime whose pivots differ from those over Q (a lower rank, or
-other columns) yields a lift the certificate rejects.  2^89 - 1 lifts a/b
-with |a|, b up to 2^44: the engine's RREFs in the default order through
-weight 14 need one pass (the largest numerator at weight 14, in the table,
-is 0.61 of that bound).  2^107 - 1 would lift only up to 2^53, short of
-the 58-bit numerators at weight 15, so the next prime is 2^127 - 1, which
-lifts up to 2^63.  The last, 2^44497 - 1, lifts about 22,000 bits; should
-it not suffice, `rref` raises ArithmeticError.
+Each prime's pass stands alone.  When neither lift is certified, the pass
+is dropped and the next prime of a fixed sequence is tried on its own: the
+Mersenne primes 2^e - 1 for the exponents e of `_MERSENNE_EXPONENTS` (OEIS
+A000043 from 89, without 107), all known primes.  A prime whose pivots
+differ from those over Q (a lower rank, or other columns) yields lifts the
+certificate rejects.  A prime bounds the numerators over D, not each entry
+alone: at 2^89 - 1 the integer test reads numerators over D up to about
+2^72, where the per-entry lift needs |a|, b <= 2^44.  The engine's RREFs in
+the default order through weight 15 need one pass at 2^89 - 1 (at weight
+15 the low-fill echelon has 59-bit numerators, a 38-bit D and 66 bits over
+D).
 
-`rank` is the number of pivots `rref` finds in reversed column-label order.
+The per-entry lift stays for an alias: at a Mersenne prime 2^e - 1,
+2^-k = 2^(e-k), so while D holds no power of two, an entry 1/2^k with
+g + 1 < k < e passes the integer test as 2^(e-k) at every prime, and the
+shared lift of a large power-of-two denominator is rejected everywhere.
+The per-entry lift reads it at the first prime with 2^k <= sqrt(p/2).  So
+whatever the per-entry lift certifies at a prime is still certified at
+that prime, or at an earlier one.  2^107 - 1 is left out: per entry it
+would reach 2^53, 9 bits past 2^89 - 1, and 2^127 - 1 reaches 2^63.  The
+last prime, 2^44497 - 1, lifts about 22,000 bits; should it not suffice,
+`rref` raises ArithmeticError.
+
+`integer_rref` returns the same RREF as D and integer rows whose pivot
+entry is D; `rref` divides by D once, on exit.  `rank` is the number of
+pivots `integer_rref` finds in reversed column-label order.
 """
 
 from __future__ import annotations
@@ -57,6 +81,7 @@ from typing import (Hashable, Iterable, Iterator, Mapping, NamedTuple,
 __all__ = [
     "SparseMatrix",
     "rref",
+    "integer_rref",
     "rank",
 ]
 
@@ -78,6 +103,10 @@ def _to_int_row(row: Mapping[int, int | Fraction]) -> dict[int, int]:
     g = gcd(*ints.values())
     return ints if g == 1 else {c: v // g for c, v in ints.items()}
 
+
+# the shared lift's margin: an entry is read as an integer over D when its
+# numerator is below p/2^(_G+1), and MQRR accepts a quotient above 2^_G
+_G = 16
 
 _MERSENNE_EXPONENTS = (89, 127, 521, 607, 1279, 2203, 2281, 3217, 4253, 4423,
                        9689, 9941, 11213, 19937, 21701, 23209, 44497)
@@ -152,48 +181,127 @@ def _ratrec(u: int, m: int, bound: int) -> Fraction | None:
     return Fraction(r1, t1)
 
 
-def _lift(echelon: dict[int, dict[int, int]],
-          p: int) -> dict[int, dict[int, Fraction]] | None:
+def _mqrr(u: int, m: int) -> int | None:
+    """The denominator b > 0 of the maximal quotient rational
+    reconstruction a/b of u mod m (Monagan, ISSAC 2004): the remainder and
+    cofactor of the extended Euclidean algorithm on (m, u) just before its
+    largest quotient, if that quotient exceeds 2^_G and gcd(a, b) = 1;
+    else None."""
+    top, a, b = 1 << _G, 0, 0
+    r0, r1, t0, t1 = m, u, 0, 1
+    while r1 and r0 > top:
+        q = r0 // r1
+        if q > top:
+            top, a, b = q, r1, t1
+        r0, r1 = r1, r0 - q * r1
+        t0, t1 = t1, t0 - q * t1
+    return abs(b) if b and gcd(a, b) == 1 else None
+
+
+def _lift_shared(echelon: dict[int, dict[int, int]],
+                 p: int) -> tuple[int, dict[int, dict[int, int]]] | None:
+    """(D, numerators over D) with one denominator D grown across the
+    echelon (module docstring, step 3), or None."""
+    small = p >> (_G + 1)
+    den = 1
+    for row in echelon.values():
+        for u in row.values():
+            s = u * den % p
+            if small <= s <= p - small:
+                b = _mqrr(s, p)
+                if b is None:
+                    return None
+                den *= b
+    half = p >> 1
+    return den, {c: {k: s - p if (s := u * den % p) > half else s
+                     for k, u in row.items()}
+                 for c, row in echelon.items()}
+
+
+def _lift_each(echelon: dict[int, dict[int, int]],
+               p: int) -> tuple[int, dict[int, dict[int, int]]] | None:
+    """(D, numerators over D) from Wang's reconstruction of each entry on
+    its own, D the lcm of their denominators; or None."""
     bound = isqrt(p // 2)
-    out = {}
+    fracs = {}
     for c, row in echelon.items():
-        lifted = {}
+        lifted = fracs[c] = {}
         for k, u in row.items():
             q = _ratrec(u, p, bound)
             if q is None:
                 return None
             lifted[k] = q
-        out[c] = lifted
-    return out
+    den = lcm(*(q.denominator for row in fracs.values() for q in row.values()))
+    return den, {c: {k: q.numerator * (den // q.denominator)
+                     for k, q in row.items()}
+                 for c, row in fracs.items()}
 
 
-def _certify(rows: list[dict[int, int]],
-             lifted: dict[int, dict[int, Fraction]]) -> bool:
-    """The rows R_c (pivot c, implicit 1) are in reduced echelon form for
-    the column order 0, 1, 2, ..., and every raw row is orthogonal to the
-    integer-scaled kernel vector D_f (e_f - sum_c R_c[f] e_c) of each free
-    column f."""
-    scale: dict[int, int] = {}
-    for c, row in lifted.items():
-        for f, q in row.items():
-            if f in lifted or f < c:
+def _lifts(rows: list[dict[int, int]], n_cols: int
+           ) -> Iterator[tuple[int, dict[int, dict[int, int]]] | None]:
+    """At each prime in turn, one elimination, then its shared lift and its
+    per-entry lift; a lift is None where reconstruction failed."""
+    for p in _primes():
+        echelon = _eliminate(rows, range(n_cols), p)
+        yield _lift_shared(echelon, p)
+        yield _lift_each(echelon, p)
+
+
+def _certify(rows: list[dict[int, int]], den: int,
+             num: dict[int, dict[int, int]]) -> bool:
+    """The rows R_c = e_c + sum_f num[c][f]/den e_f are in reduced echelon
+    form for the column order 0, 1, 2, ..., and every raw row is orthogonal
+    to the kernel vector den e_f - sum_c num[c][f] e_c of each free column
+    f."""
+    free = set()
+    for c, row in num.items():
+        for f in row:
+            if f in num or f < c:
                 return False
-            scale[f] = lcm(scale.get(f, 1), q.denominator)
-    kernel: dict[int, dict[int, int]] = {f: {f: d} for f, d in scale.items()}
-    for c, row in lifted.items():
-        kernel[c] = {f: -q.numerator * (scale[f] // q.denominator)
-                     for f, q in row.items()}
+        free.update(row)
     for r in rows:
         acc: dict[int, int] = {}
         for c, v in r.items():
-            ker = kernel.get(c)
-            if ker is None:
+            row = num.get(c)
+            if row is not None:
+                for f, w in row.items():
+                    acc[f] = acc.get(f, 0) - v * w
+            elif c in free:
+                acc[c] = acc.get(c, 0) + v * den
+            else:
                 return False    # a free column no rule mentions: kernel e_c
-            for f, w in ker.items():
-                acc[f] = acc.get(f, 0) + v * w
         if any(acc.values()):
             return False
     return True
+
+
+def integer_rref(rows: Iterable[Mapping[Hashable, object]],
+                 col_order: Sequence[Hashable]
+                 ) -> tuple[int, dict[Hashable, dict[Hashable, int]]]:
+    """`rref` as (D, rows) over one common denominator D > 0: each row is D
+    times the row `rref` returns, its pivot entry D first, all entries
+    integers.  The rows of `rref` are those of this one divided by D."""
+    pos = {c: i for i, c in enumerate(col_order)}
+    if len(pos) != len(col_order):
+        raise ValueError("column order lists a label twice")
+    try:
+        keyed = ({pos[c]: v for c, v in row.items()} for row in rows)
+        int_rows = [r for r in map(_to_int_row, keyed) if r]
+    except KeyError as exc:
+        raise ValueError(f"label {exc.args[0]!r} is not in the column "
+                         "order") from None
+
+    lifted = next((lift for lift in _lifts(int_rows, len(pos))
+                   if lift is not None and _certify(int_rows, *lift)), None)
+    if lifted is None:
+        raise ArithmeticError("no lift certified with the known primes")
+
+    den, num = lifted
+    out: dict[Hashable, dict[Hashable, int]] = {}
+    for c, tail in num.items():
+        row = out[col_order[c]] = {col_order[c]: den}
+        row.update((col_order[k], v) for k, v in tail.items())
+    return den, out
 
 
 def rref(rows: Iterable[Mapping[Hashable, object]],
@@ -208,30 +316,11 @@ def rref(rows: Iterable[Mapping[Hashable, object]],
     Fraction(1) first.  It is the unique RREF of the row space under
     col_order, certified exactly over Q.
     """
-    pos = {c: i for i, c in enumerate(col_order)}
-    if len(pos) != len(col_order):
-        raise ValueError("column order lists a label twice")
-    try:
-        keyed = ({pos[c]: v for c, v in row.items()} for row in rows)
-        int_rows = [r for r in map(_to_int_row, keyed) if r]
-    except KeyError as exc:
-        raise ValueError(f"label {exc.args[0]!r} is not in the column "
-                         "order") from None
-
-    for p in _primes():
-        lifted = _lift(_eliminate(int_rows, range(len(pos)), p), p)
-        if lifted is not None and _certify(int_rows, lifted):
-            break
-    else:
-        raise ArithmeticError("no lift certified with the known primes")
-
-    out: dict[Hashable, dict[Hashable, Fraction]] = {}
-    for c, tail in lifted.items():
-        row = out[col_order[c]] = {col_order[c]: Fraction(1)}
-        row.update((col_order[k], v) for k, v in tail.items())
-    return out
+    den, ech = integer_rref(rows, col_order)
+    return {c: {k: Fraction(v, den) for k, v in row.items()}
+            for c, row in ech.items()}
 
 
 def rank(m: SparseMatrix) -> int:
     """Rank of m: the pivot count of its RREF in reversed label order."""
-    return len(rref(m.rows, m.column_labels[::-1]))
+    return len(integer_rref(m.rows, m.column_labels[::-1])[1])

@@ -15,8 +15,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mzv import linalg
-from mzv.linalg import (SparseMatrix, _certify, _eliminate, _primes, rank,
-                        rref)
+from mzv.linalg import (SparseMatrix, _certify, _eliminate, _primes,
+                        integer_rref, rank, rref)
 
 
 # ---------------------------------------------------------------------------
@@ -167,9 +167,23 @@ def test_rref_raises_when_the_primes_run_out(monkeypatch):
         rref([{0: 2**50, 1: 1}], [0, 1])
 
 
+def test_shared_denominator_lifts_past_the_per_entry_bound(monkeypatch):
+    # 3^40 is past the per-entry bound 2^44 of 2^89 - 1, but the numerators
+    # over the common denominator 3^40 are 1 and 7
+    monkeypatch.setattr(linalg, "_MERSENNE_EXPONENTS", (89,))
+    rows = [{0: 3**40, 2: 1}, {1: 3**40, 2: 7}]
+    assert list(rref(rows, [0, 1, 2]).items()) == \
+        [(0, {0: 1, 2: Fraction(1, 3**40)}),
+         (1, {1: 1, 2: Fraction(7, 3**40)})]
+    assert integer_rref(rows, [0, 1, 2]) == \
+        (3**40, {0: {0: 3**40, 2: 1}, 1: {1: 3**40, 2: 7}})
+
+
 def test_each_prime_lifts_on_its_own(monkeypatch):
-    # 2^89 - 1 and 2^107 - 1 alone lift only up to 2^44 and 2^53; their
-    # product would lift 1/2^60, but no pass combines two primes' residues
+    # at a Mersenne prime 2^e - 1, 1/2^60 = 2^(e-60), which the shared lift
+    # reads as a small integer; the per-entry lift at 2^89 - 1 and
+    # 2^107 - 1 reaches only 2^44 and 2^53.  Their product would lift
+    # 1/2^60, but no pass combines two primes' residues
     row = {0: 2**60, 1: 1}
     monkeypatch.setattr(linalg, "_MERSENNE_EXPONENTS", (89, 107))
     with pytest.raises(ArithmeticError):
@@ -245,6 +259,9 @@ big_matrices_st = st.integers(1, 5).flatmap(
 
 
 @given(big_matrices_st)
+# 1/2^90 aliases to a power of two at every prime, so the shared lift
+# certifies nowhere, and the per-entry lift does at 2^521 - 1
+@example((from_dense([[2**90, 1]], 2), [0, 1]))
 @settings(max_examples=60, deadline=None)
 def test_rref_matches_gauss_jordan_oracle(case):
     m, order = case
@@ -292,9 +309,10 @@ def test_rref_with_small_primes_matches_gauss_jordan_oracle(case):
 def test_certificate_rejects_a_lift_not_in_reduced_echelon_form():
     # e_1 + e_0 spans the row as e_0 + e_1 does, but its pivot 1 comes after
     # its entry at column 0: only the echelon check tells it from the RREF
+    # (over the common denominator 2: numerators 2 for the entries 1)
     rows = [{0: 1, 1: 1}]
-    assert _certify(rows, {0: {1: Fraction(1)}})
-    assert not _certify(rows, {1: {0: Fraction(1)}})
+    assert _certify(rows, 2, {0: {1: 2}})
+    assert not _certify(rows, 2, {1: {0: 2}})
 
 
 @given(matrices_st)
