@@ -9,17 +9,20 @@ pivot label, in the order the scan finds the pivots, to its row, pivot entry
 1 first.  The kernel:
 
 1. Each row is scaled to integers and divided by its content.
-2. The integer rows are eliminated modulo a prime p in column order; within
-   a column the pivot is, among the rows whose entry there is nonzero mod p,
-   the one with the fewest entries (ties: lowest original row index).  A
-   row whose entry is 0 mod p is not a candidate; its entry is dropped when
-   the column is eliminated.  Reduction is lazy: rows not yet chosen as
-   pivots hold integer representatives of their residues, and a row update
-   subtracts b * v without reducing.  The multiplier b is reduced once per
-   row and pivot (a row with b = 0 mod p is left alone), and a row is
-   reduced in full, its zero residues dropped, when it is chosen as a pivot.
-   Pivot rows, back-substitution and the returned echelon hold residues in
-   [0, p) and no zeros.
+2. The integer rows are eliminated modulo a prime p in column order.  At
+   each column the active rows that hold it, its holders, are collected
+   once; the pivot is, among the holders whose entry is nonzero mod p, the
+   one with the fewest entries (ties: lowest original row index), and only
+   the holders are updated.  Every holder loses its entry at the column,
+   also when none is a candidate.  The pivot row is consumed (cleared), and
+   rows left empty, such as dependent ones, are dropped.  Reduction is
+   lazy: rows not yet chosen as pivots hold integer representatives of
+   their residues, and a row update subtracts b * v without reducing.  The
+   multiplier b is reduced once per row and pivot (a row with b = 0 mod p
+   is left alone), and a row is reduced in full, its zero residues dropped,
+   when it is chosen as a pivot.  Back-substitution, last pivot first, sums
+   a row's updates unreduced and reduces the row once.  Pivot rows and the
+   returned echelon hold residues in [0, p) and no zeros.
 3. The entries are lifted to Q over one denominator D shared across the
    echelon, starting at D = 1.  For a residue u, let s be u*D mod p in
    (-p/2, p/2].  If |s| < p/2^(g+1), with g = `_G` = 16, the entry is s/D.
@@ -130,42 +133,36 @@ def _eliminate(rows: list[dict[int, int]], col_order: Sequence[int],
     for c in col_order:
         if not active:
             break
-        best = -1
-        best_len = 0
-        for i, row in enumerate(active):
-            if c in row and (best < 0 or len(row) < best_len) and row[c] % p:
-                best, best_len = i, len(row)
-        if best < 0:
-            continue
-        prow = {k: r for k, v in active.pop(best).items() if (r := v % p)}
-        inv = pow(prow.pop(c), -1, p)
-        for k in prow:
-            prow[k] = prow[k] * inv % p
-        items = list(prow.items())
-        nxt = []
-        for row in active:
-            b = row.pop(c, 0) % p
-            if b:
+        holders = [row for row in active if c in row]
+        cands = [row for row in holders if row[c] % p]
+        if cands:
+            best = min(cands, key=len)
+            prow = {k: r for k, v in best.items() if (r := v % p)}
+            best.clear()
+            inv = pow(prow.pop(c), -1, p)
+            for k in prow:
+                prow[k] = prow[k] * inv % p
+            items = list(prow.items())
+            echelon[c] = prow
+        # every holder loses c; with no candidate, every b is 0
+        for row in holders:
+            if b := row.pop(c, 0) % p:
                 get = row.get
                 for k, v in items:
                     row[k] = get(k, 0) - b * v
-            if row:
-                nxt.append(row)
-        active = nxt
-        echelon[c] = prow
+        if not all(holders):
+            active = [row for row in active if row]
 
     # back-substitution, last pivot first: a row holds only columns later
     # than its pivot, so any pivot column in it is already reduced
-    for row in reversed(echelon.values()):
+    for c in reversed(list(echelon)):
+        row = echelon[c]
         for cj in [k for k in row if k in echelon]:
             e = row.pop(cj)
             get = row.get
             for k, v in echelon[cj].items():
-                s = (get(k, 0) - e * v) % p
-                if s:
-                    row[k] = s
-                else:
-                    del row[k]
+                row[k] = get(k, 0) - e * v
+        echelon[c] = {k: r for k, v in row.items() if (r := v % p)}
     return echelon
 
 

@@ -9,12 +9,16 @@ shuffle derivation d that kills H2, so c_i = reg(d^i p) / i!.  Subtracting
 the stuffle product from the shuffle product of the same pair of zeta
 arguments and applying reg yields a linear combination of admissible words
 whose zeta-image vanishes; collecting those rows per weight gives the
-relation matrices the engine reduces.
+relation matrices the engine reduces.  A row is a plain {word: int} dict,
+summed from the memoized word shuffle and composition stuffle with reg's
+closed form applied word by word; double_shuffle_relation wraps one row in
+a LinComb.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from math import factorial
 from typing import NamedTuple
 
@@ -23,14 +27,14 @@ from .lyndon import right_residual
 from .words import (
     LinComb,
     Word,
-    comp_to_word,
-    concat,
+    _comp_word,
+    _shuffle_words,
+    _stuffle_comps,
     h1_words,
     h2_words,
     in_h1,
     in_h2,
     shuffle,
-    stuffle,
     word_poly,
     word_to_comp,
 )
@@ -74,14 +78,15 @@ def x1_decompose(p: LinComb) -> X1Decomposition:
     return X1Decomposition(tuple(coeffs))
 
 
-def _reg_word(w: Word) -> LinComb:
-    # w = 1^k u with k >= 1 and u empty or starting with 0
+def _reg_word(w: Word) -> dict[Word, int]:
+    # reg of an H1 word 1^k u in closed form (reg's docstring)
     u = w.lstrip("1")
-    if not u:
-        return LinComb.zero()
     k = len(w) - len(u)
-    return (-1) ** k * concat(word_poly("0"),
-                              shuffle(word_poly("1" * k), word_poly(u[1:])))
+    if not k or not u:
+        return {} if k else {w: 1}
+    sign = -1 if k & 1 else 1
+    return {"0" + x: sign * m
+            for x, m in _shuffle_words("1" * k, u[1:]).items()}
 
 
 def reg(p: LinComb) -> LinComb:
@@ -98,9 +103,7 @@ def reg(p: LinComb) -> LinComb:
     for w in p.support():
         if not in_h1(w):
             raise ValueError(f"word not in H1: {w!r}")
-    # the words without a leading 1 are in H2, and reg fixes them
-    ones = LinComb._raw({w: c for w, c in p.items() if w.startswith("1")})
-    return p - ones + ones.map_linear(_reg_word) if ones else p
+    return p.map_linear(_reg_word)
 
 
 def double_shuffle_relation(w1: Word, w0: Word) -> LinComb:
@@ -113,12 +116,22 @@ def double_shuffle_relation(w1: Word, w0: Word) -> LinComb:
         raise ValueError(f"w1 must be a nonempty H2 word: {w1!r}")
     if not w0 or not in_h1(w0):
         raise ValueError(f"w0 must be a nonempty H1 word: {w0!r}")
-    sh = shuffle(word_poly(w1), word_poly(w0))
-    stconv = stuffle(LinComb.term(word_to_comp(w1)),
-                     LinComb.term(word_to_comp(w0)))
-    # comp_to_word is one-to-one, so no two keys merge
-    st = LinComb._raw({comp_to_word(c): m for c, m in stconv.items()})
-    return reg(sh - st)
+    return LinComb._raw(_relation_row(w1, w0))
+
+
+def _relation_row(w1: Word, w0: Word) -> dict[Word, int]:
+    """double_shuffle_relation(w1, w0) as a plain {word: int} dict: reg
+    of each word of the shuffle and of the stuffle, summed as integers."""
+    acc: dict[Word, int] = {}
+    st = _stuffle_comps(word_to_comp(w1), word_to_comp(w0))
+    for w, m in chain(_shuffle_words(w1, w0).items(),
+                      ((_comp_word(c), -m) for c, m in st.items())):
+        if w[0] == "0":     # reg fixes H2 words
+            acc[w] = acc.get(w, 0) + m
+            continue
+        for v, r in _reg_word(w).items():
+            acc[v] = acc.get(v, 0) + m * r
+    return {v: c for v, c in acc.items() if c}
 
 
 def knt_system(n: int) -> SparseMatrix:
@@ -129,7 +142,7 @@ def knt_system(n: int) -> SparseMatrix:
     rows = []
     for w0 in KNT_W0_SET:
         for w1 in h2_words(n - len(w0)):
-            rows.append(double_shuffle_relation(w1, w0))
+            rows.append(_relation_row(w1, w0))
     return SparseMatrix(h2_words(n), rows)
 
 
@@ -148,5 +161,5 @@ def full_system(n: int) -> SparseMatrix:
             for w1 in h2_words(n - k):
                 if sym and not (w1 <= w0):
                     continue
-                rows.append(double_shuffle_relation(w1, w0))
+                rows.append(_relation_row(w1, w0))
     return SparseMatrix(h2_words(n), rows)

@@ -244,7 +244,11 @@ def is_admissible(c: Composition) -> bool:
 
 def comp_to_word(c: Composition) -> Word:
     """Encode (s1, ..., sk) as 0^(s1-1) 1 ... 0^(sk-1) 1."""
-    validate_comp(c)
+    return _comp_word(validate_comp(c))
+
+
+def _comp_word(c: Composition) -> Word:
+    # comp_to_word without the check, for compositions known to be valid
     return "".join("0" * (s - 1) + "1" for s in c)
 
 

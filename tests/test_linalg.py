@@ -206,6 +206,10 @@ int_rows_st = st.integers(1, 5).flatmap(
 # the pivot; the last row vanishes mod 7 altogether
 @example(([[7, 1, 0, 0], [2, 3, 1, 0], [1, 4, 5, 2], [14, 0, 21, 0]],
           [0, 1, 2, 3]))
+# mod 7 column 0 has holders but no candidate, so its entries are deleted;
+# the second row is then a dependent one, emptied at column 1, and the last
+# vanishes mod 7 entry by entry
+@example(([[7, 1, 0], [14, 2, 0], [0, 0, 3], [7, 0, 14]], [0, 1, 2]))
 @settings(max_examples=100, deadline=None)
 def test_eliminate_matches_gauss_jordan_mod_p(case):
     # entries 7, -14 and 21 vanish mod 7 in the lazy rows
@@ -217,6 +221,20 @@ def test_eliminate_matches_gauss_jordan_mod_p(case):
             assert all(0 < v < p for v in row.values())
         assert [(c, {c: 1, **row}) for c, row in echelon.items()] == \
             list(rref_oracle(m, order, p).items())
+
+
+@given(int_rows_st, st.data())
+@settings(max_examples=100, deadline=None)
+def test_row_order_is_free(case, data):
+    # the pivot of a column depends on the row order, its RREF does not:
+    # the echelon mod p and the lift over Q come out equal
+    dense, order = case
+    rows = from_dense(dense, len(order)).rows
+    shuffled = data.draw(st.permutations(rows))
+    for p in (7, next(_primes())):
+        assert _eliminate([dict(r) for r in shuffled], order, p) == \
+            _eliminate([dict(r) for r in rows], order, p)
+    assert integer_rref(shuffled, order) == integer_rref(rows, order)
 
 
 # ---------------------------------------------------------------------------

@@ -19,12 +19,15 @@ from mzv.regularize import (
 )
 from mzv.words import (
     LinComb,
+    comp_to_word,
     format_word_poly,
     h1_words,
     h2_words,
     in_h2,
     shuffle,
+    stuffle,
     word_poly,
+    word_to_comp,
 )
 
 
@@ -172,6 +175,30 @@ def test_relation_rejects_bad_inputs():
         double_shuffle_relation("01", "10")
     with pytest.raises(ValueError):
         double_shuffle_relation("", "1")
+
+
+def relation_by_lincomb_algebra(w1, w0):
+    """Test oracle: reg of shuffle minus stuffle, summed as LinCombs."""
+    st = stuffle(LinComb.term(word_to_comp(w1)),
+                 LinComb.term(word_to_comp(w0)))
+    return reg(shuffle(word_poly(w1), word_poly(w0))
+               - LinComb({comp_to_word(c): m for c, m in st.items()}))
+
+
+@pytest.mark.parametrize("n", range(3, 10))
+def test_system_rows_are_the_double_shuffle_relations(n):
+    # the pairs in the order knt_system and full_system emit their rows
+    knt_pairs = [(w1, w0) for w0 in KNT_W0_SET for w1 in h2_words(n - len(w0))]
+    full_pairs = [(w1, w0) for k in range(1, n - 1) for w0 in h1_words(k)
+                  for w1 in h2_words(n - k) if not in_h2(w0) or w1 <= w0]
+    for system, pairs in ((knt_system, knt_pairs), (full_system, full_pairs)):
+        rows = system(n).rows
+        assert len(rows) == len(pairs)
+        for row, (w1, w0) in zip(rows, pairs):
+            assert type(row) is dict
+            assert all(type(v) is int for v in row.values())
+            want = relation_by_lincomb_algebra(w1, w0)
+            assert row == double_shuffle_relation(w1, w0) == want
 
 
 def test_rows_homogeneous_h2():
