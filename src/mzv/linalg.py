@@ -20,9 +20,14 @@ pivot label, in the order the scan finds the pivots, to its row, pivot entry
    their residues, and a row update subtracts b * v without reducing.  The
    multiplier b is reduced once per row and pivot (a row with b = 0 mod p
    is left alone), and a row is reduced in full, its zero residues dropped,
-   when it is chosen as a pivot.  Back-substitution, last pivot first, sums
-   a row's updates unreduced and reduces the row once.  Pivot rows and the
-   returned echelon hold residues in [0, p) and no zeros.
+   when it is chosen as a pivot.  Pivot rows and the returned echelon hold
+   residues in [0, p) and no zeros.
+   Back-substitution, last pivot first, packs each row over the free
+   columns into one integer, a fixed-width slot per column (Kronecker
+   substitution): its own entries plus, for each pivot column it holds with
+   entry e, (p - e) times that column's packed reduced row.  A slot sums at
+   most one term in [0, p^2) per pivot, so at 2*bits(p) + bits(#pivots) + 1
+   bits it never carries; the sum is unpacked once, each slot reduced mod p.
 3. The entries are lifted to Q over one denominator D shared across the
    echelon, starting at D = 1.  For a residue u, let s be u*D mod p in
    (-p/2, p/2].  If |s| < p/2^(g+1), with g = `_G` = 16, the entry is s/D.
@@ -41,6 +46,13 @@ pivot label, in the order the scan finds the pivots, to its row, pivot entry
    - so span(R) is the row space, and R, checked to be in reduced echelon
      form for the column order, is its unique RREF, whatever prime
      produced it.
+   A raw column in no row of R has the kernel vector e_c, so a raw row
+   holding it is rejected.  The product is packed along its shorter side,
+   the kernel vectors or the raw rows: a signed slot per vector, of W =
+   bits(largest entry there) + bits(largest L1 norm on the other side) + 2
+   bits, so each slot sum is below 2^(W-2) in size, and a packed sum is 0
+   only when every slot is (its highest nonzero slot outweighs all below).
+   Each vector of the longer side takes one sum of products.
    When MQRR fails or the certificate rejects the shared lift, the same
    residues are lifted entry by entry by Wang's rational reconstruction,
    a/b with |a|, b <= sqrt(p/2), over the lcm of their denominators, and
@@ -153,16 +165,30 @@ def _eliminate(rows: list[dict[int, int]], col_order: Sequence[int],
         if not all(holders):
             active = [row for row in active if row]
 
-    # back-substitution, last pivot first: a row holds only columns later
-    # than its pivot, so any pivot column in it is already reduced
+    # back-substitution over the free columns, each in a fixed-width slot
+    # (module docstring, step 2); any pivot column a row holds comes later
+    free = set().union(*echelon.values()).difference(echelon)
+    slot = {f: i for i, f in enumerate(c for c in col_order if c in free)}
+    size = (2 * p.bit_length() + len(echelon).bit_length() + 8) // 8
+
+    def pack(vals: list[int]) -> int:
+        return int.from_bytes(b"".join(v.to_bytes(size, "little")
+                                       for v in vals), "little")
+
+    packed: dict[int, int] = {}
     for c in reversed(list(echelon)):
-        row = echelon[c]
-        for cj in [k for k in row if k in echelon]:
-            e = row.pop(cj)
-            get = row.get
-            for k, v in echelon[cj].items():
-                row[k] = get(k, 0) - e * v
-        echelon[c] = {k: r for k, v in row.items() if (r := v % p)}
+        res, acc = [0] * len(slot), 0
+        for k, v in echelon[c].items():
+            if k in slot:
+                res[slot[k]] = v
+            else:
+                acc += (p - v) * packed[k]
+        if acc:
+            data = (acc + pack(res)).to_bytes(size * len(slot), "little")
+            res = [int.from_bytes(data[i:i + size], "little") % p
+                   for i in range(0, len(data), size)]
+        packed[c] = pack(res)
+        echelon[c] = {f: r for f, r in zip(slot, res) if r}
     return echelon
 
 
@@ -250,26 +276,29 @@ def _certify(rows: list[dict[int, int]], den: int,
     form for the column order 0, 1, 2, ..., and every raw row is orthogonal
     to the kernel vector den e_f - sum_c num[c][f] e_c of each free column
     f."""
-    free = set()
+    kernel = {f: {f: den} for f in set().union(*num.values())}
     for c, row in num.items():
-        for f in row:
+        for f, w in row.items():
             if f in num or f < c:
                 return False
-        free.update(row)
-    for r in rows:
-        acc: dict[int, int] = {}
-        for c, v in r.items():
-            row = num.get(c)
-            if row is not None:
-                for f, w in row.items():
-                    acc[f] = acc.get(f, 0) - v * w
-            elif c in free:
-                acc[c] = acc.get(c, 0) + v * den
-            else:
-                return False    # a free column no rule mentions: kernel e_c
-        if any(acc.values()):
-            return False
-    return True
+            kernel[f][c] = -w
+    # a free column no rule mentions has the kernel vector e_c
+    if not set().union(*rows) <= kernel.keys() | num.keys():
+        return False
+    # one sum of products per vector of the longer side, the shorter one
+    # packed in signed slots (module docstring, step 4)
+    xs, ys = rows, list(kernel.values())
+    if len(ys) > len(xs):
+        xs, ys = ys, xs
+    big = max((abs(v) for y in ys for v in y.values()), default=0)
+    norm = max((sum(map(abs, x.values())) for x in xs), default=0)
+    width = big.bit_length() + norm.bit_length() + 2
+    packed: dict[int, int] = {}
+    for j, y in enumerate(ys):
+        for k, v in y.items():
+            packed[k] = packed.get(k, 0) + (v << j * width)
+    get = packed.get
+    return not any(sum(v * get(k, 0) for k, v in x.items()) for x in xs)
 
 
 def integer_rref(rows: Iterable[Mapping[Hashable, object]],

@@ -342,24 +342,25 @@ def _format_terms(pairs: list[tuple[str, object]]) -> str:
     """Render (monomial_text, coeff) pairs as a signed sum.
 
     A coefficient of magnitude one is dropped in front of a nonempty monomial;
-    an empty monomial prints as its bare coefficient.
+    an empty monomial prints as its bare coefficient.  Each coefficient is
+    read as its integer numerator and denominator, as str(Fraction) does.
     """
     if not pairs:
         return "0"
     out = []
     for text, c in pairs:
-        sign = "-" if c < 0 else "+"
-        mag = abs(c)
+        num, den = c.numerator, c.denominator
+        mag = str(abs(num)) if den == 1 else f"{abs(num)}/{den}"
         if not text:
-            body = str(mag)
-        elif mag == 1:
+            body = mag
+        elif mag == "1":
             body = text
         else:
             body = f"{mag}*{text}"
         if not out:
-            out.append(body if sign == "+" else "-" + body)
+            out.append("-" + body if num < 0 else body)
         else:
-            out.append(f" {sign} {body}")
+            out.append(f" {'-' if num < 0 else '+'} {body}")
     return "".join(out)
 
 

@@ -210,6 +210,20 @@ int_rows_st = st.integers(1, 5).flatmap(
 # the second row is then a dependent one, emptied at column 1, and the last
 # vanishes mod 7 entry by entry
 @example(([[7, 1, 0], [14, 2, 0], [0, 0, 3], [7, 0, 14]], [0, 1, 2]))
+# square and of full rank: no free column, so back-substitution packs
+# nothing
+@example(([[1, 2, 0], [0, 1, 3], [2, 0, 1]], [0, 1, 2]))
+# one row: every column after its pivot is free
+@example(([[3, 1, 4, 1, 5, 6]], [0, 1, 2, 3, 4, 5]))
+# tall, with one free column: the first pivot row holds the later pivot
+# columns 1 and 2
+@example(([[1, 1, 1, 9], [0, 1, 1, 7], [0, 0, 1, 4], [2, 3, 3, 25],
+           [1, 2, 2, 16]], [0, 1, 2, 3]))
+# the first pivot row's tail holds only the later pivot columns 1..8, each
+# of which holds 6 at the free column 9: mod 7 the packed slot sums
+# 8 * (7 - 1) * 6 = 288 before its one reduction, past a one-byte slot
+@example(([[1] * 9 + [0]] + [[int(k == i) for k in range(9)] + [6]
+                             for i in range(1, 9)], list(range(10))))
 @settings(max_examples=100, deadline=None)
 def test_eliminate_matches_gauss_jordan_mod_p(case):
     # entries 7, -14 and 21 vanish mod 7 in the lazy rows
@@ -331,6 +345,86 @@ def test_certificate_rejects_a_lift_not_in_reduced_echelon_form():
     rows = [{0: 1, 1: 1}]
     assert _certify(rows, 2, {0: {1: 2}})
     assert not _certify(rows, 2, {1: {0: 2}})
+
+
+def certify_reference(rows, den, num):
+    """The certificate with one dict update per free column: the rows
+    R_c = e_c + sum_f num[c][f]/den e_f are in reduced echelon form for the
+    column order 0, 1, 2, ..., and every raw row is orthogonal to the
+    kernel vector den e_f - sum_c num[c][f] e_c of each free column f."""
+    free = set()
+    for c, row in num.items():
+        for f in row:
+            if f in num or f < c:
+                return False
+        free.update(row)
+    for r in rows:
+        acc = {}
+        for c, v in r.items():
+            row = num.get(c)
+            if row is not None:
+                for f, w in row.items():
+                    acc[f] = acc.get(f, 0) - v * w
+            elif c in free:
+                acc[c] = acc.get(c, 0) + v * den
+            else:
+                return False    # a free column no rule mentions: kernel e_c
+        if any(acc.values()):
+            return False
+    return True
+
+
+@st.composite
+def lifts_st(draw):
+    """(rows, den, num): integer rows and their certified lift, or that lift
+    off by one, with an entry dropped, or with +2^j at one free column of a
+    row and -1 at the next (j near the packed slot width).  The rows are
+    the raw ones or the RREF's own, more or fewer than the free
+    columns."""
+    nc = draw(st.integers(1, 7))
+    dense = draw(st.lists(st.lists(st.integers(-3, 3), min_size=nc,
+                                   max_size=nc), min_size=1, max_size=7))
+    rows = [r for r in from_dense(dense, nc).rows if r]
+    den, ech = integer_rref(rows, range(nc))
+    num = {c: {k: v for k, v in row.items() if k != c}
+           for c, row in ech.items()}
+    if draw(st.booleans()):
+        rows = list(ech.values())
+    entries = [(c, f) for c, row in num.items() for f in row]
+    pairs = [(c, f, f2) for c, row in num.items()
+             for f, f2 in zip(sorted(row), sorted(row)[1:])]
+    kind = draw(st.sampled_from(["exact", "den", "entry", "drop", "carry"]))
+    if kind == "den":
+        den += draw(st.sampled_from([1, -1]))
+    elif kind in ("entry", "drop") and entries:
+        c, f = draw(st.sampled_from(entries))
+        if kind == "drop":
+            del num[c][f]
+        else:
+            num[c][f] += draw(st.sampled_from([1, -1]))
+    elif kind == "carry" and pairs:
+        c, f, f2 = draw(st.sampled_from(pairs))
+        big = max(den, *(abs(v) for row in num.values() for v in row.values()))
+        width = (big.bit_length() + 2 + max(
+            sum(map(abs, r.values())) for r in rows).bit_length())
+        num[c][f] += 1 << draw(st.integers(max(width - 4, 0), width + 4))
+        num[c][f2] -= 1
+    return rows, den, num
+
+
+@given(lifts_st())
+# one row over three free columns: more free columns than rows, so the
+# certificate packs the raw rows
+@example(([{0: 2, 1: 4, 2: 6, 3: 2}], 1, {0: {1: 2, 2: 3, 3: 1}}))
+# an RREF over the free columns 2 and 3, off by +2^8 at column 2 and -1 at
+# column 3 of its first row: in slots 8 bits wide the two errors would
+# cancel
+@example(([{0: 1, 2: 1, 3: 2}, {1: 1, 2: 3, 3: 1}], 1,
+          {0: {2: 1 + 2**8, 3: 1}, 1: {2: 3, 3: 1}}))
+@settings(max_examples=300, deadline=None)
+def test_packed_certificate_matches_the_dict_certificate(lift):
+    rows, den, num = lift
+    assert _certify(rows, den, num) == certify_reference(rows, den, num)
 
 
 @given(matrices_st)

@@ -397,3 +397,39 @@ def test_format_word_poly_canonical_order():
 def test_format_comp_poly():
     p = LinComb({(2, 2): 2, (4,): 1})
     assert format_comp_poly(p) == "z(4) + 2*z(2,2)"
+
+
+def format_terms_reference(pairs):
+    """_format_terms through Fraction's abs, < and str."""
+    if not pairs:
+        return "0"
+    out = []
+    for text, c in pairs:
+        sign = "-" if c < 0 else "+"
+        mag = abs(c)
+        if not text:
+            body = str(mag)
+        elif mag == 1:
+            body = text
+        else:
+            body = f"{mag}*{text}"
+        if not out:
+            out.append(body if sign == "+" else "-" + body)
+        else:
+            out.append(f" {sign} {body}")
+    return "".join(out)
+
+
+_coefficients = st.one_of(
+    st.integers(-10**30, 10**30),
+    st.sampled_from([1, -1, Fraction(1), Fraction(-1), Fraction(4, 2)]),
+    st.fractions().filter(lambda q: q.denominator > 1))
+
+
+@given(st.lists(st.tuples(st.sampled_from(["", "01", "z(2)*z(3)"]),
+                          _coefficients), max_size=5))
+# a negative first term, n/d, and the empty monomial
+@example([("z(5)", Fraction(-9, 2)), ("", Fraction(3, 4)), ("01", -1)])
+@settings(max_examples=200, deadline=None)
+def test_format_terms_matches_the_fraction_body(pairs):
+    assert words._format_terms(pairs) == format_terms_reference(pairs)
