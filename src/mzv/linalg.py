@@ -29,15 +29,16 @@ pivot label, in the order the scan finds the pivots, to its row, pivot entry
    most one term in [0, p^2) per pivot, so at 2*bits(p) + bits(#pivots) + 1
    bits it never carries; the sum is unpacked once, each slot reduced mod p.
 3. The entries are lifted to Q over one denominator D shared across the
-   echelon, starting at D = 1.  For a residue u, let s be u*D mod p in
-   (-p/2, p/2].  If |s| < p/2^(g+1), with g = `_G` = 16, the entry is s/D.
-   Otherwise maximal quotient rational reconstruction (Monagan, ISSAC 2004)
-   writes s as a/b: the remainder and cofactor of the extended Euclidean
-   algorithm on (p, s) just before its largest quotient, accepted only when
-   that quotient exceeds 2^g.  Then D becomes b*D, and the entry is a/D.
-   The lift is D and the numerators u*D mod p in (-p/2, p/2].  An entry
-   whose denominator D does not hold yet passes the integer test with
-   probability about 2^-g; the certificate rejects such a lift.
+   echelon, starting at D = 1, with a bound t for the integer test.  For a
+   residue u, let s be u*D mod p in (-p/2, p/2].  If |s| < t, the entry is
+   s/D.  Otherwise maximal quotient rational reconstruction (Monagan, ISSAC
+   2004) writes s as a/b: the remainder and cofactor of the extended
+   Euclidean algorithm on (p, s) just before its largest quotient, accepted
+   only when that quotient exceeds 2^g, with g = `_G` = 16.  Then D becomes
+   b*D, and the entry is a/D.  The lift is D and the numerators u*D mod p
+   in (-p/2, p/2].  The first pass takes t = p/2^(g+1); an entry whose
+   denominator D does not hold yet passes its integer test with
+   probability about 2^-g, and the certificate rejects such a lift.
 4. The lift (D, N) is certified with integers only, before it is returned:
    - every raw row is orthogonal to the kernel vector
      D e_f - sum_c N_c[f] e_c of each free column f, so the row space lies
@@ -53,10 +54,8 @@ pivot label, in the order the scan finds the pivots, to its row, pivot entry
    bits, so each slot sum is below 2^(W-2) in size, and a packed sum is 0
    only when every slot is (its highest nonzero slot outweighs all below).
    Each vector of the longer side takes one sum of products.
-   When MQRR fails or the certificate rejects the shared lift, the same
-   residues are lifted entry by entry by Wang's rational reconstruction,
-   a/b with |a|, b <= sqrt(p/2), over the lcm of their denominators, and
-   certified again.
+   When MQRR fails or the certificate rejects the first pass, the same
+   residues are lifted again with t = sqrt(p) and certified again.
 
 Each prime's pass stands alone.  When neither lift is certified, the pass
 is dropped and the next prime of a fixed sequence is tried on its own: the
@@ -64,22 +63,26 @@ Mersenne primes 2^e - 1 for the exponents e of `_MERSENNE_EXPONENTS` (OEIS
 A000043 from 89, without 107), all known primes.  A prime whose pivots
 differ from those over Q (a lower rank, or other columns) yields lifts the
 certificate rejects.  A prime bounds the numerators over D, not each entry
-alone: at 2^89 - 1 the integer test reads numerators over D up to about
-2^72, where the per-entry lift needs |a|, b <= 2^44.  The engine's RREFs in
-the default order through weight 15 need one pass at 2^89 - 1 (at weight
-15 the low-fill echelon has 59-bit numerators, a 38-bit D and 66 bits over
-D).
+alone: at 2^89 - 1 the first pass reads numerators over D up to about
+2^72.  The engine's RREFs in the default order through weight 15 need one
+pass at 2^89 - 1 (at weight 15 the low-fill echelon has 59-bit numerators,
+a 38-bit D and 66 bits over D).
 
-The per-entry lift stays for an alias: at a Mersenne prime 2^e - 1,
+The second pass is for an alias: at a Mersenne prime 2^e - 1,
 2^-k = 2^(e-k), so while D holds no power of two, an entry 1/2^k with
-g + 1 < k < e passes the integer test as 2^(e-k) at every prime, and the
-shared lift of a large power-of-two denominator is rejected everywhere.
-The per-entry lift reads it at the first prime with 2^k <= sqrt(p/2).  So
-whatever the per-entry lift certifies at a prime is still certified at
-that prime, or at an earlier one.  2^107 - 1 is left out: per entry it
-would reach 2^53, 9 bits past 2^89 - 1, and 2^127 - 1 reaches 2^63.  The
-last prime, 2^44497 - 1, lifts about 22,000 bits; should it not suffice,
-`rref` raises ArithmeticError.
+g + 1 < k < e passes the first integer test as 2^(e-k) at every prime,
+and the certificate rejects that lift.  With t = sqrt(p) nothing is lost:
+for 0 < |s| < sqrt(p) the first Euclidean quotient p // |s| is at least
+|s| and every later one at most |s|, so whenever MQRR reads anything it
+reads the integer s.  Above sqrt(p) MQRR decides: 2^(e-k) with k < e/2
+has the quotients 2^k - 1, 1 and 2^(e-k) - 1, so it reads 1/2^k, at the
+first prime with 2^k <= sqrt(p/2).  One D bounds the product of the
+denominators, not each alone: entries with small pairwise-coprime
+denominators whose product passes p/2^(g+1) lift at a later prime.
+2^107 - 1 is left out: a pass that fails costs a whole elimination, and
+over D it would read 18 bits past 2^89 - 1, where 2^127 - 1 reads 38.  The
+last prime, 2^44497 - 1, reads numerators over D up to about 2^44480;
+should it not suffice, `rref` raises ArithmeticError.
 
 `integer_rref` returns the same RREF as D and integer rows whose pivot
 entry is D; `rref` divides by D once, on exit.  `rank` is the number of
@@ -119,8 +122,8 @@ def _to_int_row(row: Mapping[int, int | Fraction]) -> dict[int, int]:
     return ints if g == 1 else {c: v // g for c, v in ints.items()}
 
 
-# the shared lift's margin: an entry is read as an integer over D when its
-# numerator is below p/2^(_G+1), and MQRR accepts a quotient above 2^_G
+# the lift's margin: the first pass reads an entry as an integer over D when
+# its numerator is below p/2^(_G+1), and MQRR accepts a quotient above 2^_G
 _G = 16
 
 _MERSENNE_EXPONENTS = (89, 127, 521, 607, 1279, 2203, 2281, 3217, 4253, 4423,
@@ -192,18 +195,6 @@ def _eliminate(rows: list[dict[int, int]], col_order: Sequence[int],
     return echelon
 
 
-def _ratrec(u: int, m: int, bound: int) -> Fraction | None:
-    """a/b = u mod m with |a|, b <= bound, or None."""
-    r0, r1, t0, t1 = m, u, 0, 1
-    while r1 > bound:
-        q = r0 // r1
-        r0, r1 = r1, r0 - q * r1
-        t0, t1 = t1, t0 - q * t1
-    if not 0 < abs(t1) <= bound or gcd(r1, t1) != 1:
-        return None
-    return Fraction(r1, t1)
-
-
 def _mqrr(u: int, m: int) -> int | None:
     """The denominator b > 0 of the maximal quotient rational
     reconstruction a/b of u mod m (Monagan, ISSAC 2004): the remainder and
@@ -221,11 +212,11 @@ def _mqrr(u: int, m: int) -> int | None:
     return abs(b) if b and gcd(a, b) == 1 else None
 
 
-def _lift_shared(echelon: dict[int, dict[int, int]],
-                 p: int) -> tuple[int, dict[int, dict[int, int]]] | None:
+def _lift(echelon: dict[int, dict[int, int]], p: int,
+          small: int) -> tuple[int, dict[int, dict[int, int]]] | None:
     """(D, numerators over D) with one denominator D grown across the
-    echelon (module docstring, step 3), or None."""
-    small = p >> (_G + 1)
+    echelon, an entry read as an integer over D when its numerator is below
+    small in size (module docstring, step 3); or None."""
     den = 1
     for row in echelon.values():
         for u in row.values():
@@ -241,33 +232,15 @@ def _lift_shared(echelon: dict[int, dict[int, int]],
                  for c, row in echelon.items()}
 
 
-def _lift_each(echelon: dict[int, dict[int, int]],
-               p: int) -> tuple[int, dict[int, dict[int, int]]] | None:
-    """(D, numerators over D) from Wang's reconstruction of each entry on
-    its own, D the lcm of their denominators; or None."""
-    bound = isqrt(p // 2)
-    fracs = {}
-    for c, row in echelon.items():
-        lifted = fracs[c] = {}
-        for k, u in row.items():
-            q = _ratrec(u, p, bound)
-            if q is None:
-                return None
-            lifted[k] = q
-    den = lcm(*(q.denominator for row in fracs.values() for q in row.values()))
-    return den, {c: {k: q.numerator * (den // q.denominator)
-                     for k, q in row.items()}
-                 for c, row in fracs.items()}
-
-
 def _lifts(rows: list[dict[int, int]], n_cols: int
            ) -> Iterator[tuple[int, dict[int, dict[int, int]]] | None]:
-    """At each prime in turn, one elimination, then its shared lift and its
-    per-entry lift; a lift is None where reconstruction failed."""
+    """At each prime in turn, one elimination, then its lift with the
+    integer test below p/2^(_G+1) and below sqrt(p); a lift is None where
+    reconstruction failed."""
     for p in _primes():
         echelon = _eliminate(rows, range(n_cols), p)
-        yield _lift_shared(echelon, p)
-        yield _lift_each(echelon, p)
+        yield _lift(echelon, p, p >> (_G + 1))
+        yield _lift(echelon, p, isqrt(p))
 
 
 def _certify(rows: list[dict[int, int]], den: int,

@@ -375,6 +375,26 @@ def test_tables_match_the_oracle_with_small_primes(prefer, monkeypatch):
         assert list(t.rules) == list(want[n][1]), n
 
 
+def test_every_elimination_certifies_its_first_lift(monkeypatch):
+    # the tables to weight 11 and freeness at weight 10, in either order,
+    # need neither the second pass nor a later prime
+    lifts, taken = linalg._lifts, []
+
+    def counted(rows, n_cols):
+        taken.append(0)
+        for lift in lifts(rows, n_cols):
+            taken[-1] += 1
+            yield lift
+
+    monkeypatch.setattr(linalg, "_lifts", counted)
+    for prefer in ("depth", "lex"):
+        store = TableStore(preference=prefer)
+        for n in range(2, 12):
+            echelonize_degree(n, store)
+        check_polynomial_freeness(10, store)
+    assert len(taken) == 62 and set(taken) == {1}
+
+
 def test_unknown_preference_rejected():
     with pytest.raises(ValueError):
         TableStore(preference="colex")

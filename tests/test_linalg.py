@@ -8,6 +8,7 @@ first primes do not lift the result.
 
 from fractions import Fraction
 from itertools import combinations
+from math import isqrt
 from unittest.mock import patch
 
 import pytest
@@ -15,8 +16,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mzv import linalg
-from mzv.linalg import (SparseMatrix, _certify, _eliminate, _primes,
-                        integer_rref, rank, rref)
+from mzv.linalg import (SparseMatrix, _certify, _eliminate, _lift, _mqrr,
+                        _primes, integer_rref, rank, rref)
 
 
 # ---------------------------------------------------------------------------
@@ -161,15 +162,17 @@ def test_prime_sequence():
 
 
 def test_rref_raises_when_the_primes_run_out(monkeypatch):
-    # one 89-bit prime lifts a/b with |a|, b <= 2^44 only
+    # at 2^89 - 1, 1/2^50 = 2^39, below sqrt(p) = 2^44.5: both passes read
+    # it as an integer, which the certificate rejects
     monkeypatch.setattr(linalg, "_MERSENNE_EXPONENTS", (89,))
     with pytest.raises(ArithmeticError):
         rref([{0: 2**50, 1: 1}], [0, 1])
 
 
 def test_shared_denominator_lifts_past_the_per_entry_bound(monkeypatch):
-    # 3^40 is past the per-entry bound 2^44 of 2^89 - 1, but the numerators
-    # over the common denominator 3^40 are 1 and 7
+    # 3^40 is past 2^44, where a lift of each entry on its own with
+    # |a|, b <= sqrt(p/2) stops at 2^89 - 1, but the numerators over the
+    # common denominator 3^40 are 1 and 7
     monkeypatch.setattr(linalg, "_MERSENNE_EXPONENTS", (89,))
     rows = [{0: 3**40, 2: 1}, {1: 3**40, 2: 7}]
     assert list(rref(rows, [0, 1, 2]).items()) == \
@@ -180,16 +183,59 @@ def test_shared_denominator_lifts_past_the_per_entry_bound(monkeypatch):
 
 
 def test_each_prime_lifts_on_its_own(monkeypatch):
-    # at a Mersenne prime 2^e - 1, 1/2^60 = 2^(e-60), which the shared lift
-    # reads as a small integer; the per-entry lift at 2^89 - 1 and
-    # 2^107 - 1 reaches only 2^44 and 2^53.  Their product would lift
-    # 1/2^60, but no pass combines two primes' residues
+    # at a Mersenne prime 2^e - 1, 1/2^60 = 2^(e-60), which the first pass
+    # reads as a small integer; the second reads 1/2^k only for
+    # 2^k <= sqrt(p/2), 2^44 at 2^89 - 1 and 2^53 at 2^107 - 1.  Their
+    # product would lift 1/2^60, but no pass combines two primes' residues
     row = {0: 2**60, 1: 1}
     monkeypatch.setattr(linalg, "_MERSENNE_EXPONENTS", (89, 107))
     with pytest.raises(ArithmeticError):
         rref([row], [0, 1])
     monkeypatch.setattr(linalg, "_MERSENNE_EXPONENTS", (89, 127))
     assert rref([row], [0, 1]) == {0: {0: 1, 1: Fraction(1, 2**60)}}
+
+
+def test_second_pass_reads_an_alias_at_the_same_prime(monkeypatch):
+    # 1/2^40 = 2^49 mod 2^89 - 1: the first pass reads the integer 2^49,
+    # which the certificate rejects; 2^49 is above sqrt(p), so the second
+    # pass hands it to MQRR, which reads 1/2^40
+    p = 2**89 - 1
+    row = {0: 2**40, 1: 1}
+    echelon = _eliminate([row], [0, 1], p)
+    assert _lift(echelon, p, p >> (linalg._G + 1)) == (1, {0: {1: 2**49}})
+    assert _lift(echelon, p, isqrt(p)) == (2**40, {0: {1: 1}})
+    monkeypatch.setattr(linalg, "_MERSENNE_EXPONENTS", (89,))
+    primes = []
+    monkeypatch.setattr(linalg, "_eliminate", lambda rows, order, q: (
+        primes.append(q) or _eliminate(rows, order, q)))
+    assert rref([row], [0, 1]) == {0: {0: 1, 1: Fraction(1, 2**40)}}
+    assert primes == [p]
+
+
+@given(st.sampled_from([61, 89, 107, 127, 521]).flatmap(
+    lambda e: st.tuples(st.just(e), st.integers(1, isqrt(2**e - 1) - 1),
+                        st.sampled_from([1, -1]))))
+@example((61, isqrt(2**61 - 1) - 1, -1))
+@example((521, isqrt(2**521 - 1) - 1, 1))
+@settings(max_examples=100, deadline=None)
+def test_mqrr_reads_a_residue_below_sqrt_p_as_an_integer(case):
+    # the premise of the second pass: reading such an entry as an integer
+    # loses nothing MQRR would read
+    e, s, sign = case
+    p = 2**e - 1
+    assert _mqrr(sign * s % p, p) == 1
+
+
+def test_one_denominator_bounds_the_product_of_denominators(monkeypatch):
+    # 1/3^24 and 1/5^16, each near 2^38, need D = 3^24 * 5^16, about 2^75,
+    # past what 2^89 - 1 reads over D (2^72); 2^127 - 1 reads 2^110
+    rows = [{0: 3**24, 2: 1}, {1: 5**16, 2: 1}]
+    monkeypatch.setattr(linalg, "_MERSENNE_EXPONENTS", (89,))
+    with pytest.raises(ArithmeticError):
+        rref(rows, [0, 1, 2])
+    monkeypatch.setattr(linalg, "_MERSENNE_EXPONENTS", (89, 127))
+    assert rref(rows, [0, 1, 2]) == {0: {0: 1, 2: Fraction(1, 3**24)},
+                                     1: {1: 1, 2: Fraction(1, 5**16)}}
 
 
 int_rows_st = st.integers(1, 5).flatmap(
@@ -291,8 +337,8 @@ big_matrices_st = st.integers(1, 5).flatmap(
 
 
 @given(big_matrices_st)
-# 1/2^90 aliases to a power of two at every prime, so the shared lift
-# certifies nowhere, and the per-entry lift does at 2^521 - 1
+# 1/2^90 aliases to a power of two at every prime, so the first pass
+# certifies nowhere, and the second does at 2^521 - 1
 @example((from_dense([[2**90, 1]], 2), [0, 1]))
 @settings(max_examples=60, deadline=None)
 def test_rref_matches_gauss_jordan_oracle(case):
