@@ -42,11 +42,18 @@ form used to verify identities.
 
 The freeness check takes one row per rule of the weight-n table: u - sum
 c_b b for the rule u -> sum c_b b.  Each row goes through the Radford map
-phi (lyndon.radford_decompose_poly, one cascade per row) into Lyndon-monomial
+phi (lyndon.integer_radford, one cascade per row) into Lyndon-monomial
 variables; every product monomial is then substituted through the
 lower-weight generator expressions, once per distinct monomial; and the rows
-are echelonized scanning the single-Lyndon-word columns first.  The criterion
-holds when every pivot lands on a single.  The rule rows span the row space
+are echelonized scanning the single-Lyndon-word columns first.  A row stays
+in integers from the rule to integer_rref: it enters the cascade over the
+lcm of its rule's denominators and leaves it as integer numerators over one
+common denominator; each Lyndon factor's generator expression is an integer
+combination over its own denominator, and a product monomial's numerators
+(gp_mul of its factors') stand over the product of theirs.  A positive
+scale does not change the row space, so both row denominators are dropped
+and each row is scaled by the lcm of its monomials'.  The criterion holds
+when every pivot lands on a single.  The rule rows span the row space
 of the relation system, phi and the substitution are linear, and the RREF of
 a span is unique for a column order, so these rows give the pivots the raw
 relation rows would.  Substituting first is what makes the check
@@ -62,11 +69,11 @@ import functools
 import re
 from collections.abc import Mapping
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 from typing import NamedTuple
 
 from .linalg import integer_rref, rref
-from .lyndon import LyndonMonomial, lyndon_words, radford_decompose_poly
+from .lyndon import LyndonMonomial, integer_radford, lyndon_words
 from .regularize import knt_system
 from .words import (
     INDEX_PATTERN,
@@ -311,30 +318,40 @@ def check_polynomial_freeness(n: int, cache=None) -> FreenessReport:
     singles = set(lyndon_words(n))
 
     @functools.cache
-    def factor(l: Word) -> LinComb:
-        return express_in_generators(word_to_comp(l), cache)
+    def factor(l: Word) -> tuple[LinComb, int]:
+        """The generator expression of a Lyndon factor, as integers over
+        its own common denominator."""
+        e = express_in_generators(word_to_comp(l), cache)
+        den = lcm(*(c.denominator for c in e.values()))
+        return LinComb._raw({g: c.numerator * (den // c.denominator)
+                             for g, c in e.items()}), den
 
     @functools.cache
-    def substitute(mono: LyndonMonomial) -> tuple[dict, int]:
+    def substitute(mono: LyndonMonomial) -> tuple[LinComb, int]:
         """Column coefficients of one Lyndon monomial, as integers over a
         common denominator: a single stays, a product goes through the
         generator expressions of its factors."""
         if len(mono) == 1:
-            return {mono[0]: 1}, 1
-        gp = functools.reduce(gp_mul, map(factor, mono), LinComb.term(()))
-        den = lcm(*(v.denominator for v in gp.values()))
-        return {g: int(v * den) for g, v in gp.items()}, den
+            return LinComb.term(mono[0]), 1
+        parts = [factor(l) for l in mono]
+        return (functools.reduce(gp_mul, (e for e, _ in parts),
+                                 LinComb.term(())),
+                prod(d for _, d in parts))
 
-    # one row per rule u -> sum c_b b: phi(u - sum c_b b), substituted
-    # and scaled to integers (a scale does not change the row space)
+    # one row per rule u -> sum c_b b: phi(u - sum c_b b), substituted and
+    # kept in integers from the rule to the echelon (a positive scale does
+    # not change the row space)
     sub_rows = []
     for u, r in table.rules.items():
-        lp = radford_decompose_poly(LinComb.term(u) - r)
-        terms = [(c, *substitute(mono)) for mono, c in lp.items()]
-        den = lcm(*(c.denominator * d for c, _, d in terms))
+        den = lcm(*(c.denominator for c in r.values()))
+        row = {b: -c.numerator * (den // c.denominator) for b, c in r.items()}
+        row[u] = den
+        _, num = integer_radford(row)
+        terms = [(q, *substitute(mono)) for mono, q in num.items()]
+        den = lcm(*(d for _, _, d in terms))
         sub_rows.append(LinComb.sum(
-            (k, c.numerator * (den // (c.denominator * d)) * v)
-            for c, sub, d in terms for k, v in sub.items()))
+            (k, q * (den // d) * v) for q, sub, d in terms
+            for k, v in sub.items()))
 
     # a column is a Lyndon word (a str) or a generator monomial (a tuple);
     # singles are scanned first, least preferred first within them

@@ -12,7 +12,15 @@ expansion of the monomial built from a word's Chen-Fox-Lyndon factors has
 that word as its lexicographically largest term, with coefficient equal to
 the product of the factor multiplicities' factorials.  The cascade reads
 that coefficient off the memoized expansion it subtracts, and the word being
-rewritten cancels through its own term.  The right residual by x1 is
+rewritten cancels through its own term.  It runs in integers
+(integer_radford): the words still to rewrite and the numerators written so
+far share one common denominator D, raised, and both rescaled, only where a
+leading coefficient does not divide.  radford_decompose_poly is its
+rational wrapper.  The memo is keyed by word: a word and its monomial
+determine each other (the monomial's factors, concatenated in
+non-increasing order, are the word), so one entry holds both, and Duval's
+factorization runs once per distinct word however often cascades pop it.
+monomial_expand reads the same memo.  The right residual by x1 is
 regularize's x1 derivative.  The bracketed forms are kept for the test
 suite (the Leibniz rule) and acceptance criterion 09; no module under src
 calls them.
@@ -21,6 +29,7 @@ calls them.
 from __future__ import annotations
 
 import heapq
+from collections.abc import Mapping
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -45,6 +54,7 @@ __all__ = [
     "residual_derivation",
     "radford_decompose",
     "radford_decompose_poly",
+    "integer_radford",
     "expand",
     "monomial_expand",
     "format_lyndon_monomial",
@@ -125,20 +135,30 @@ def residual_derivation(p: LinComb, l: Word) -> LinComb:
 # ---------------------------------------------------------------------------
 # Radford decomposition
 
-_expand_memo: dict[LyndonMonomial, LinComb] = {}
+# word -> (its Chen-Fox-Lyndon monomial, that monomial's shuffle expansion)
+_expand_memo: dict[Word, tuple[LyndonMonomial, LinComb]] = {}
+
+
+def _factor_expand(w: Word) -> tuple[LyndonMonomial, LinComb]:
+    """The Chen-Fox-Lyndon monomial of w, sorted, and its shuffle
+    expansion; Duval runs once per word."""
+    hit = _expand_memo.get(w)
+    if hit is None:
+        # cfl_factor's factors are non-increasing; () for the empty word
+        fac = cfl_factor(w)
+        mono = tuple(reversed(fac))
+        # the first factor is the largest; the rest factor w without it
+        hit = mono, (shuffle(_factor_expand(w[len(fac[0]):])[1],
+                             word_poly(fac[0])) if fac else word_poly(""))
+        _expand_memo[w] = hit
+    return hit
 
 
 def monomial_expand(mono: LyndonMonomial) -> LinComb:
     """Shuffle product of the factors of a Lyndon monomial, as a word
-    polynomial.  mono must be sorted."""
-    if not mono:
-        return word_poly("")
-    hit = _expand_memo.get(mono)
-    if hit is not None:
-        return hit
-    r = shuffle(monomial_expand(mono[:-1]), word_poly(mono[-1]))
-    _expand_memo[mono] = r
-    return r
+    polynomial.  mono must be sorted: its factors, concatenated in
+    non-increasing order, are the word the memo is keyed by."""
+    return _factor_expand("".join(reversed(mono)))[1]
 
 
 def expand(P: LinComb) -> LinComb:
@@ -146,25 +166,22 @@ def expand(P: LinComb) -> LinComb:
     return P.map_linear(monomial_expand)
 
 
-def radford_decompose_poly(p: LinComb) -> LinComb:
-    """Express a word polynomial as a polynomial in Lyndon words.
+def integer_radford(p: Mapping[Word, int]) -> tuple[int, dict]:
+    """The Radford cascade on an integer word polynomial: (D, num) with
+    phi(p) = sum num[m] m / D over Lyndon monomials m, num[m] an integer.
 
-    Returns a LinComb keyed by LyndonMonomial (sorted tuples); the empty
-    tuple is the constant term.  Triangular rewriting on the current leading
-    word (lexicographically largest, '0' < '1'); each step replaces it by
-    strictly smaller words of the same length, so the loop terminates.
+    Triangular rewriting on the current leading word (lexicographically
+    largest, '0' < '1'); each step replaces it by strictly smaller words of
+    the same length, so the loop terminates.  D starts at 1 and is raised
+    only when a leading coefficient does not divide; the words still to
+    rewrite and the numerators already written are rescaled then.
 
-    The words still to rewrite carry integer numerators over one common
-    denominator, raised only when a leading coefficient does not divide.
-
-    Each monomial's coefficient is written once, when its word is popped:
+    Each monomial's numerator is written once, when its word is popped:
     a word and its monomial (the sorted Chen-Fox-Lyndon factors) determine
     each other, and a popped word never comes back: it cancels in its own
     step, and every later step only touches smaller words.
     """
-    result: dict[LyndonMonomial, Fraction] = {}
-    den = lcm(1, *(c.denominator for c in p.values()))
-    work = {w: int(c * den) for w, c in p.items()}
+    den, num, work = 1, {}, dict(p)
     # max-heap on (length, word): within a length, binary value is lex order
     heap = [(-len(w), -int(w or "0", 2), w) for w in work]
     heapq.heapify(heap)
@@ -173,9 +190,7 @@ def radford_decompose_poly(p: LinComb) -> LinComb:
         c = work.get(w, 0)
         if not c:
             continue                      # cancelled, or a stale entry
-        # cfl_factor's factors are non-increasing; () for the empty word
-        mono = tuple(reversed(cfl_factor(w)))
-        expansion = monomial_expand(mono)
+        mono, expansion = _factor_expand(w)
         lead = expansion[w]
         g = lead // gcd(c, lead)
         if g > 1:
@@ -183,8 +198,9 @@ def radford_decompose_poly(p: LinComb) -> LinComb:
             c *= g
             for k in work:
                 work[k] *= g
-        result[mono] = Fraction(c, den * lead)
-        q = c // lead
+            for k in num:
+                num[k] *= g
+        q = num[mono] = c // lead
         # c == q * lead, so w cancels through its own term of the expansion
         for w2, c2 in expansion.items():
             s = work.get(w2, 0)
@@ -195,7 +211,23 @@ def radford_decompose_poly(p: LinComb) -> LinComb:
                 work[w2] = s
             else:
                 del work[w2]
-    return LinComb._raw(result)
+    return den, num
+
+
+def radford_decompose_poly(p: LinComb) -> LinComb:
+    """Express a word polynomial as a polynomial in Lyndon words.
+
+    Returns a LinComb keyed by LyndonMonomial (sorted tuples); the empty
+    tuple is the constant term.  The rational wrapper over integer_radford,
+    as linalg.rref is over integer_rref: p goes in as integers over the lcm
+    L of its denominators, and each coefficient is a numerator over L * D.
+    The cascade factors a word once, however often it is popped: the
+    expansion memo is keyed by word.
+    """
+    den = lcm(1, *(c.denominator for c in p.values()))
+    d, num = integer_radford(
+        {w: c.numerator * (den // c.denominator) for w, c in p.items()})
+    return LinComb._raw({m: Fraction(q, den * d) for m, q in num.items()})
 
 
 def radford_decompose(w: Word) -> LinComb:

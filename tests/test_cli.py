@@ -214,6 +214,36 @@ def test_freeness(capsys):
     assert code == 0 and "PASS" in out and "(5)" in out
 
 
+# `--records freeness --degree n` as the rational cascade printed it: depth
+# order on tables cached to weight 11, lex order on tables built in memory
+FREENESS_RECORDS = {
+    "depth": ["2 1 1 2", "3 1 1 3", "4 1 0 ", "5 1 1 5", "6 1 0 ", "7 1 1 7",
+              "8 1 1 6,2", "9 1 1 9", "10 1 1 8,2", "11 1 2 11 8,1,2"],
+    "lex": ["2 1 1 2", "3 1 1 2,1", "4 1 0 ", "5 1 1 2,1,1,1", "6 1 0 ",
+            "7 1 1 2,1,1,1,1,1", "8 1 1 2,1,2,1,1,1", "9 1 1 2,1,1,1,1,1,1,1",
+            "10 1 1 2,1,1,2,1,1,1,1",
+            "11 1 2 2,1,1,1,1,1,1,1,1,1 2,1,2,1,1,2,1,1"],
+}
+
+
+@pytest.fixture(scope="module")
+def tables(tmp_path_factory):
+    root = tmp_path_factory.mktemp("tables")
+    assert cli.main(["--cache-dir", str(root), "cache", "--rebuild",
+                     "--degree", "11"]) == 0
+    return root
+
+
+@pytest.mark.parametrize("prefer", sorted(FREENESS_RECORDS))
+def test_freeness_records_are_pinned(capsys, tables, prefer):
+    source = ["--cache-dir", str(tables)] if prefer == "depth" else \
+        ["--prefer", prefer]
+    got = [run(capsys, *source, "--records", "freeness", "--degree", str(n))
+           for n in range(2, 12)]
+    assert got == [(0, f"freeness {line}\n", "")
+                   for line in FREENESS_RECORDS[prefer]]
+
+
 def test_freeness_failure_names_the_product_pivots(capsys, monkeypatch):
     failed = engine.FreenessReport(5, False, ("00001",), (((2,), (3,)),))
     monkeypatch.setattr(engine, "check_polynomial_freeness",

@@ -35,7 +35,7 @@ from mzv.engine import (
     verify_identity,
 )
 from mzv.linalg import rref
-from mzv.lyndon import lyndon_words, radford_decompose_poly
+from mzv.lyndon import lyndon_words
 from mzv.regularize import knt_system
 from mzv.store import TableStore
 from mzv.words import (
@@ -47,6 +47,7 @@ from mzv.words import (
     stuffle,
     word_to_comp,
 )
+from test_lyndon import radford_reference
 
 
 @pytest.fixture(scope="module")
@@ -421,13 +422,13 @@ def test_freeness_survivors_match_table_generators(cache):
 
 def freeness_from_raw_rows(n, cache):
     """Test oracle: the check run on every raw row of knt_system(n), each
-    rewritten in Lyndon monomials by the triangular rewrite and substituted
-    term by term."""
+    rewritten in Lyndon monomials by the rational reference cascade (not
+    the integer cascade the check runs) and substituted term by term."""
     key = PREFERENCES[cache.preference]
     singles = [l for l in lyndon_words(n) if in_h2(l)]
     rows = []
     for row in knt_system(n).rows:
-        lp = radford_decompose_poly(LinComb(row))
+        lp = radford_reference(LinComb(row))
         out = LinComb.zero()
         for mono, coeff in lp.items():
             if len(mono) == 1:

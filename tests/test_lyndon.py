@@ -2,25 +2,29 @@
 
 lyndon_words is checked against a brute rotation filter, cfl_factor against
 the defining property (nonincreasing Lyndon factors whose concatenation is
-the word), and radford_decompose against round-trip expansion.  is_lyndon and
+the word), and radford_decompose against round-trip expansion and against
+radford_reference, the rational cascade it replaced.  is_lyndon and
 standard_factorization are read off cfl_factor, so the Lyndon property is
 checked by its definition (lyndon_by_definition), never through cfl_factor.
 """
 
+import heapq
 import itertools
 from collections import Counter
 from fractions import Fraction
-from math import factorial, prod
+from math import factorial, gcd, lcm, prod
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from mzv import lyndon
 from mzv.lyndon import (
     bracket,
     cfl_factor,
     expand,
     format_lyndon_monomial,
     format_lyndon_poly,
+    integer_radford,
     is_lyndon,
     lyndon_words,
     monomial_expand,
@@ -168,6 +172,90 @@ def test_radford_roundtrip(pairs):
         p = p + LinComb.term(w, c)
     d = radford_decompose_poly(p)
     assert expand(d) == p
+
+
+def radford_reference(p: LinComb) -> LinComb:
+    """Test oracle: the rational cascade, one Fraction per written
+    coefficient and a Chen-Fox-Lyndon factorization per pop."""
+    result = {}
+    den = lcm(1, *(c.denominator for c in p.values()))
+    work = {w: int(c * den) for w, c in p.items()}
+    heap = [(-len(w), -int(w or "0", 2), w) for w in work]
+    heapq.heapify(heap)
+    while heap:
+        w = heapq.heappop(heap)[2]
+        c = work.get(w, 0)
+        if not c:
+            continue
+        mono = tuple(reversed(cfl_factor(w)))
+        expansion = monomial_expand(mono)
+        lead = expansion[w]
+        g = lead // gcd(c, lead)
+        if g > 1:
+            den *= g
+            c *= g
+            for k in work:
+                work[k] *= g
+        result[mono] = Fraction(c, den * lead)
+        q = c // lead
+        for w2, c2 in expansion.items():
+            s = work.get(w2, 0)
+            if not s:
+                heapq.heappush(heap, (-len(w2), -int(w2, 2), w2))
+            s -= q * c2
+            if s:
+                work[w2] = s
+            else:
+                del work[w2]
+    return LinComb._raw(result)
+
+
+rational_word_polys = st.lists(
+    st.tuples(st.text(alphabet="01", max_size=8),
+              st.fractions(-3, 3, max_denominator=6)),
+    max_size=4).map(LinComb.sum)
+
+
+@given(rational_word_polys)
+@example(LinComb.zero())
+@example(LinComb.term("", Fraction(-5, 3)))
+@example(LinComb.term("011000"))  # D grows twice: 3! at 011000, 2 at 010100
+@example(LinComb({"011000": Fraction(1, 5), "0101": Fraction(2, 7), "": 1}))
+@settings(max_examples=150, deadline=None)
+def test_radford_matches_the_rational_reference(p):
+    got, want = radford_decompose_poly(p), radford_reference(p)
+    assert got == want
+    assert list(got) == list(want)      # the same monomial order too
+
+
+def test_integer_radford_raises_d_where_a_lead_does_not_divide():
+    # 011000 factors as 011.0.0.0, lead 3! = 6; the cascade then reaches
+    # 010100 = 01.01.0.0, lead 2! 2! = 4, with a numerator whose gcd with 4
+    # is 2, so D = 6 * 2, and the numerator written first is rescaled
+    p = {"011000": 1}
+    den, num = integer_radford(p)
+    assert den == 12 and p == {"011000": 1}
+    assert all(isinstance(q, int) for q in num.values())
+    assert LinComb._raw({m: Fraction(q, den) for m, q in num.items()}) == \
+        radford_reference(word_poly("011000"))
+    assert num[("0", "0", "0", "011")] == 2     # 1/6, written over 6, then 12
+    assert integer_radford({}) == (1, {})
+
+
+def test_duval_runs_once_per_word(monkeypatch):
+    # the expansion memo is keyed by word, so cascades that pop the same
+    # words again factor none of them twice
+    calls = Counter()
+    factor = lyndon.cfl_factor
+    monkeypatch.setattr(lyndon, "_expand_memo", {})
+    monkeypatch.setattr(lyndon, "cfl_factor",
+                        lambda w: calls.update([w]) or factor(w))
+    for _ in range(2):
+        for w in all_words(7):
+            radford_decompose(w)
+    assert set(calls) == set(lyndon._expand_memo)
+    assert set(calls.values()) == {1}
+    assert monomial_expand(("01", "01")) == lyndon._expand_memo["0101"][1]
 
 
 @given(words_st)
