@@ -40,20 +40,20 @@ it, read off its RREF column.  The resulting generator_map turns any
 admissible index into a polynomial in the generators, which is the normal
 form used to verify identities.
 
-The freeness check takes one row per rule of the weight-n table: u - sum
-c_b b for the rule u -> sum c_b b.  Each row goes through the Radford map
-phi (lyndon.integer_radford, one cascade per row) into Lyndon-monomial
-variables; every product monomial is then substituted through the
-lower-weight generator expressions, once per distinct monomial; and the rows
-are echelonized scanning the single-Lyndon-word columns first.  A row stays
-in integers from the rule to integer_rref: it enters the cascade over the
-lcm of its rule's denominators and leaves it as integer numerators over one
-common denominator; each Lyndon factor's generator expression is an integer
-combination over its own denominator, and a product monomial's numerators
-(gp_mul of its factors') stand over the product of theirs.  A positive
-scale does not change the row space, so both row denominators are dropped
-and each row is scaled by the lcm of its monomials'.  The criterion holds
-when every pivot lands on a single.  The rule rows span the row space
+The freeness check takes one row per rule u -> sum c_b b of the weight-n
+table: sum c_b b - u, the negation of u - sum c_b b.  Each row goes
+through the Radford map phi (lyndon.integer_radford, one cascade per row)
+into Lyndon-monomial variables; every product monomial is then substituted
+through the lower-weight generator expressions, once per distinct monomial;
+and the rows are echelonized scanning the single-Lyndon-word columns first.
+A row stays in integers from the cascade to integer_rref: the cascade puts
+the rule's rationals over their lcm itself and returns integer numerators
+over one common denominator; each Lyndon factor's generator expression is
+an integer combination over its own denominator, and a product monomial's
+numerators (gp_mul of its factors') stand over the product of theirs.  A
+nonzero scale does not change the row space, so both row denominators are
+dropped and each row is scaled by the lcm of its monomials'.  The criterion
+holds when every pivot lands on a single.  The rule rows span the row space
 of the relation system, phi and the substitution are linear, and the RREF of
 a span is unique for a column order, so these rows give the pivots the raw
 relation rows would.  Substituting first is what makes the check
@@ -338,15 +338,12 @@ def check_polynomial_freeness(n: int, cache=None) -> FreenessReport:
                                  LinComb.term(())),
                 prod(d for _, d in parts))
 
-    # one row per rule u -> sum c_b b: phi(u - sum c_b b), substituted and
-    # kept in integers from the rule to the echelon (a positive scale does
-    # not change the row space)
+    # one row per rule u -> sum c_b b: phi(sum c_b b - u), which spans what
+    # phi(u - sum c_b b) does, substituted and kept in integers from the
+    # cascade to the echelon (a nonzero scale does not change the row space)
     sub_rows = []
     for u, r in table.rules.items():
-        den = lcm(*(c.denominator for c in r.values()))
-        row = {b: -c.numerator * (den // c.denominator) for b, c in r.items()}
-        row[u] = den
-        _, num = integer_radford(row)
+        _, num = integer_radford({**r, u: -1})
         terms = [(q, *substitute(mono)) for mono, q in num.items()]
         den = lcm(*(d for _, _, d in terms))
         sub_rows.append(LinComb.sum(

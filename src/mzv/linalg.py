@@ -84,9 +84,10 @@ over D it would read 18 bits past 2^89 - 1, where 2^127 - 1 reads 38.  The
 last prime, 2^44497 - 1, reads numerators over D up to about 2^44480;
 should it not suffice, `rref` raises ArithmeticError.
 
-`integer_rref` returns the same RREF as D and integer rows whose pivot
-entry is D; `rref` divides by D once, on exit.  `rank` is the number of
-pivots `integer_rref` finds in reversed column-label order.
+`integer_rref` takes rational rows and returns the same RREF as D and
+integer rows whose pivot entry is D; `rref`, its Fraction wrapper, divides
+by D once (lyndon.integer_radford keeps this contract).  `rank` is the
+number of pivots `integer_rref` finds in reversed column-label order.
 """
 
 from __future__ import annotations
@@ -277,9 +278,9 @@ def _certify(rows: list[dict[int, int]], den: int,
 def integer_rref(rows: Iterable[Mapping[Hashable, object]],
                  col_order: Sequence[Hashable]
                  ) -> tuple[int, dict[Hashable, dict[Hashable, int]]]:
-    """`rref` as (D, rows) over one common denominator D > 0: each row is D
-    times the row `rref` returns, its pivot entry D first, all entries
-    integers.  The rows of `rref` are those of this one divided by D."""
+    """`rref` as (D, rows) over one common denominator D > 0: rational rows
+    in, each row out D times the row `rref` returns, its pivot entry D
+    first, all entries integers.  `rref` divides by D once."""
     pos = {c: i for i, c in enumerate(col_order)}
     if len(pos) != len(col_order):
         raise ValueError("column order lists a label twice")

@@ -13,17 +13,18 @@ that word as its lexicographically largest term, with coefficient equal to
 the product of the factor multiplicities' factorials.  The cascade reads
 that coefficient off the memoized expansion it subtracts, and the word being
 rewritten cancels through its own term.  It runs in integers
-(integer_radford): the words still to rewrite and the numerators written so
-far share one common denominator D, raised, and both rescaled, only where a
-leading coefficient does not divide.  radford_decompose_poly is its
-rational wrapper.  The memo is keyed by word: a word and its monomial
-determine each other (the monomial's factors, concatenated in
-non-increasing order, are the word), so one entry holds both, and Duval's
-factorization runs once per distinct word however often cascades pop it.
-monomial_expand reads the same memo.  The right residual by x1 is
-regularize's x1 derivative.  The bracketed forms are kept for the test
-suite (the Leibniz rule) and acceptance criterion 09; no module under src
-calls them.
+(integer_radford) under linalg.integer_rref's contract: rational input in,
+(D, integer numerators) out.  D starts at the input's lcm, is shared by the
+words still to rewrite and the numerators written so far, and is raised,
+with both rescaled, only where a leading coefficient does not divide; the
+Fraction wrapper radford_decompose_poly divides once.  The memo is keyed
+by word: a word and its monomial determine each other (the monomial's
+factors, concatenated in non-increasing order, are the word), so one entry
+holds both, and Duval's factorization runs once per distinct word however
+often cascades pop it.  monomial_expand reads the same memo.  The right
+residual by x1 is regularize's x1 derivative.  The bracketed forms are kept
+for the test suite (the Leibniz rule) and acceptance criterion 09; no
+module under src calls them.
 """
 
 from __future__ import annotations
@@ -166,22 +167,24 @@ def expand(P: LinComb) -> LinComb:
     return P.map_linear(monomial_expand)
 
 
-def integer_radford(p: Mapping[Word, int]) -> tuple[int, dict]:
-    """The Radford cascade on an integer word polynomial: (D, num) with
+def integer_radford(p: Mapping[Word, int | Fraction]) -> tuple[int, dict]:
+    """The Radford cascade on a rational word polynomial: (D, num) with
     phi(p) = sum num[m] m / D over Lyndon monomials m, num[m] an integer.
 
     Triangular rewriting on the current leading word (lexicographically
     largest, '0' < '1'); each step replaces it by strictly smaller words of
-    the same length, so the loop terminates.  D starts at 1 and is raised
-    only when a leading coefficient does not divide; the words still to
-    rewrite and the numerators already written are rescaled then.
+    the same length, so the loop terminates.  D starts at the lcm of p's
+    denominators, as linalg.integer_rref puts each row over its own, and is
+    raised only when a leading coefficient does not divide; the words still
+    to rewrite and the numerators already written are rescaled then.
 
     Each monomial's numerator is written once, when its word is popped:
     a word and its monomial (the sorted Chen-Fox-Lyndon factors) determine
     each other, and a popped word never comes back: it cancels in its own
     step, and every later step only touches smaller words.
     """
-    den, num, work = 1, {}, dict(p)
+    den, num = lcm(*(c.denominator for c in p.values())), {}
+    work = {w: c.numerator * (den // c.denominator) for w, c in p.items()}
     # max-heap on (length, word): within a length, binary value is lex order
     heap = [(-len(w), -int(w or "0", 2), w) for w in work]
     heapq.heapify(heap)
@@ -218,16 +221,12 @@ def radford_decompose_poly(p: LinComb) -> LinComb:
     """Express a word polynomial as a polynomial in Lyndon words.
 
     Returns a LinComb keyed by LyndonMonomial (sorted tuples); the empty
-    tuple is the constant term.  The rational wrapper over integer_radford,
-    as linalg.rref is over integer_rref: p goes in as integers over the lcm
-    L of its denominators, and each coefficient is a numerator over L * D.
-    The cascade factors a word once, however often it is popped: the
-    expansion memo is keyed by word.
+    tuple is the constant term.  The Fraction wrapper over integer_radford,
+    as linalg.rref is over integer_rref: D already holds the lcm of p's
+    denominators, so the wrapper only divides each numerator by D.
     """
-    den = lcm(1, *(c.denominator for c in p.values()))
-    d, num = integer_radford(
-        {w: c.numerator * (den // c.denominator) for w, c in p.items()})
-    return LinComb._raw({m: Fraction(q, den * d) for m, q in num.items()})
+    den, num = integer_radford(p)
+    return LinComb._raw({m: Fraction(q, den) for m, q in num.items()})
 
 
 def radford_decompose(w: Word) -> LinComb:

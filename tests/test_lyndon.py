@@ -3,9 +3,10 @@
 lyndon_words is checked against a brute rotation filter, cfl_factor against
 the defining property (nonincreasing Lyndon factors whose concatenation is
 the word), and radford_decompose against round-trip expansion and against
-radford_reference, the rational cascade it replaced.  is_lyndon and
-standard_factorization are read off cfl_factor, so the Lyndon property is
-checked by its definition (lyndon_by_definition), never through cfl_factor.
+radford_reference, the rational cascade it replaced, as is integer_radford
+on int and Fraction input.  is_lyndon and standard_factorization are read
+off cfl_factor, so the Lyndon property is checked by its definition
+(lyndon_by_definition), never through cfl_factor.
 """
 
 import heapq
@@ -240,6 +241,32 @@ def test_integer_radford_raises_d_where_a_lead_does_not_divide():
         radford_reference(word_poly("011000"))
     assert num[("0", "0", "0", "011")] == 2     # 1/6, written over 6, then 12
     assert integer_radford({}) == (1, {})
+
+
+# plain dicts of int and Fraction coefficients, zeros kept, the empty word
+# and words of every length up to 8 allowed
+mixed_word_dicts = st.dictionaries(
+    st.text(alphabet="01", max_size=8),
+    st.integers(-4, 4) | st.fractions(-3, 3, max_denominator=6),
+    max_size=4)
+
+
+@given(mixed_word_dicts)
+@example({})
+@example({"": Fraction(-5, 3), "1": 0})
+# a freeness rule row: the rule 0101 -> 3/4 0001 of weight 4, head -1
+@example({"0101": -1, "0001": Fraction(3, 4)})
+# D = 5 from the input's lcm, times 3! at 011000, times 2 at 010100
+@example({"011000": Fraction(1, 5)})
+@settings(max_examples=150, deadline=None)
+def test_integer_radford_takes_rationals(p):
+    given_p = dict(p)
+    den, num = integer_radford(p)
+    assert p == given_p
+    assert den % lcm(*(c.denominator for c in p.values())) == 0
+    assert all(isinstance(q, int) and q for q in num.values())
+    got = {m: Fraction(q, den) for m, q in num.items()}
+    assert got == radford_reference(LinComb(p))
 
 
 def test_duval_runs_once_per_word(monkeypatch):
