@@ -184,8 +184,6 @@ def _product(powers: dict[tuple[int, int], int], cap: int) -> LinComb:
 def _neg_log1p(u: LinComb, cap: int) -> LinComb:
     # -log(1 + u) for u with positive minimal x-degree
     md = min((i for i, _ in u), default=cap + 1)
-    if md < 1:
-        raise ValueError("series has a constant term")
     acc = LinComb.zero()
     power = _ONE
     sign = -1

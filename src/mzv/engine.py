@@ -397,9 +397,7 @@ def format_generator_monomial(m: GeneratorMonomial) -> str:
 
 
 def format_generator_poly(p: LinComb) -> str:
-    keys = sorted(p.support(), key=lambda m: (len(m), m))
-    pairs = [(format_generator_monomial(m), p[m]) for m in keys]
-    return _format_terms(pairs)
+    return _format_terms(p, lambda m: (len(m), m), format_generator_monomial)
 
 
 def parse_generator_poly(text: str) -> LinComb:

@@ -247,6 +247,4 @@ def _monomial_sort_key(mono: LyndonMonomial):
 
 
 def format_lyndon_poly(p: LinComb) -> str:
-    keys = sorted(p.support(), key=_monomial_sort_key)
-    pairs = [(format_lyndon_monomial(m), p[m]) for m in keys]
-    return _format_terms(pairs)
+    return _format_terms(p, _monomial_sort_key, format_lyndon_monomial)

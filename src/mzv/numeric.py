@@ -111,8 +111,6 @@ def _shift(E: dict, amax: int) -> dict:
 def _antideriv(E: dict) -> dict:
     out: dict = {}
     for (a, p), c in E.items():
-        if a == 0:
-            raise ArithmeticError("non-decaying term cannot be integrated")
         if a == 1:
             _add(out, (0, p + 1), _rdiv(c, p + 1))
         else:

@@ -17,7 +17,8 @@ denominator-one rational.  Every product of two such combinations is the
 bilinear extension LinComb.product of a product on keys.  Every sum, product
 and substitution is one fold, LinComb.sum, so one rule sets the key order of
 every result, and numeric.identity_values adds a side's terms in mpf in that
-order (which can move the last digit it prints).
+order (which can move the last digit it prints).  Every polynomial prints
+through _format_terms, as every sum folds through LinComb.sum.
 
 The shuffle and the stuffle are both quasi-shuffle products (Hoffman,
 Quasi-shuffle products, 2000) and share one recursion: the stuffle of two
@@ -338,38 +339,37 @@ def stuffle(p: LinComb, q: LinComb) -> LinComb:
 # ---------------------------------------------------------------------------
 # printing
 
-def _format_terms(pairs: list[tuple[str, object]]) -> str:
-    """Render (monomial_text, coeff) pairs as a signed sum.
+def _format_terms(p: LinComb, key: Callable,
+                  text: Callable[[Hashable], str]) -> str:
+    """Render p as a signed sum: its keys in the order `key` sorts them, each
+    key k printed as text(k), and "0" for the zero polynomial.
 
     A coefficient of magnitude one is dropped in front of a nonempty monomial;
     an empty monomial prints as its bare coefficient.  Each coefficient is
     read as its integer numerator and denominator, as str(Fraction) does.
     """
-    if not pairs:
-        return "0"
     out = []
-    for text, c in pairs:
+    for k in sorted(p.support(), key=key):
+        monomial, c = text(k), p[k]
         num, den = c.numerator, c.denominator
         mag = str(abs(num)) if den == 1 else f"{abs(num)}/{den}"
-        if not text:
+        if not monomial:
             body = mag
         elif mag == "1":
-            body = text
+            body = monomial
         else:
-            body = f"{mag}*{text}"
+            body = f"{mag}*{monomial}"
         if not out:
             out.append("-" + body if num < 0 else body)
         else:
             out.append(f" {'-' if num < 0 else '+'} {body}")
-    return "".join(out)
+    return "".join(out) or "0"
 
 
 def format_word_poly(p: LinComb) -> str:
-    pairs = [(w, p[w]) for w in sorted(p.support(), key=word_sort_key)]
-    return _format_terms(pairs)
+    return _format_terms(p, word_sort_key, str)
 
 
 def format_comp_poly(p: LinComb) -> str:
-    keys = sorted(p.support(), key=comp_sort_key)
-    pairs = [(f"z({format_comp(c)})" if c else "", p[c]) for c in keys]
-    return _format_terms(pairs)
+    return _format_terms(p, comp_sort_key,
+                         lambda c: f"z({format_comp(c)})" if c else "")

@@ -14,6 +14,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mzv import words
+from mzv.engine import (
+    canonical_monomial,
+    format_generator_monomial,
+    format_generator_poly,
+)
+from mzv.lyndon import format_lyndon_monomial, format_lyndon_poly
 from mzv.words import (
     LinComb,
     all_words,
@@ -21,6 +27,7 @@ from mzv.words import (
     comp_to_word,
     comp_weight,
     concat,
+    format_comp,
     format_comp_poly,
     format_word_poly,
     h1_words,
@@ -426,10 +433,46 @@ _coefficients = st.one_of(
     st.fractions().filter(lambda q: q.denominator > 1))
 
 
-@given(st.lists(st.tuples(st.sampled_from(["", "01", "z(2)*z(3)"]),
-                          _coefficients), max_size=5))
+def _polys(keys):
+    # LinCombs over distinct keys with nonzero int and Fraction coefficients
+    return st.dictionaries(keys, _coefficients.filter(bool),
+                           max_size=5).map(LinComb)
+
+
+@given(_polys(st.sampled_from(["", "01", "z(2)*z(3)"])))
 # a negative first term, n/d, and the empty monomial
-@example([("z(5)", Fraction(-9, 2)), ("", Fraction(3, 4)), ("01", -1)])
+@example(LinComb({"": Fraction(-3, 4), "01": Fraction(9, 2), "z(2)*z(3)": -1}))
+@example(LinComb.zero())
 @settings(max_examples=200, deadline=None)
-def test_format_terms_matches_the_fraction_body(pairs):
-    assert words._format_terms(pairs) == format_terms_reference(pairs)
+def test_format_terms_matches_the_fraction_body(p):
+    # a key text unlike the key shows that text, not str, renders each key
+    pairs = [(k.upper(), p[k]) for k in sorted(p, key=len)]
+    assert words._format_terms(p, len, str.upper) == \
+        format_terms_reference(pairs)
+
+
+_compositions = st.lists(st.integers(1, 4), max_size=3).map(tuple)
+
+
+# each formatter's key order and key text, as the terms print them
+@pytest.mark.parametrize("fmt, keys, order, text", [
+    (format_word_poly, st.text("01", max_size=5),
+     lambda w: (len(w), w), lambda w: w),
+    (format_comp_poly, _compositions,
+     lambda c: (sum(c), len(c), c),
+     lambda c: f"z({format_comp(c)})" if c else ""),
+    (format_generator_poly,
+     st.lists(_compositions.filter(bool), max_size=3).map(canonical_monomial),
+     lambda m: (len(m), m), format_generator_monomial),
+    (format_lyndon_poly,
+     st.lists(st.sampled_from(["0", "1", "01", "001", "011"]),
+              max_size=3).map(lambda m: tuple(sorted(m))),
+     lambda m: (sum(map(len, m)), sorted((len(f), f) for f in m)),
+     format_lyndon_monomial),
+], ids=["word", "comp", "generator", "lyndon"])
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_each_formatter_prints_its_sorted_terms(fmt, keys, order, text, data):
+    p = data.draw(_polys(keys))
+    pairs = [(text(k), p[k]) for k in sorted(p, key=order)]
+    assert fmt(p) == format_terms_reference(pairs)
