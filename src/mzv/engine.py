@@ -40,24 +40,32 @@ it, read off its RREF column.  The resulting generator_map turns any
 admissible index into a polynomial in the generators, which is the normal
 form used to verify identities.
 
-The freeness check takes one row per rule u -> sum c_b b of the weight-n
-table: sum c_b b - u, the negation of u - sum c_b b.  Each row goes
-through the Radford map phi (lyndon.integer_radford, one cascade per row)
-into Lyndon-monomial variables; every product monomial is then substituted
-through the lower-weight generator expressions, once per distinct monomial;
-and the rows are echelonized scanning the single-Lyndon-word columns first.
-A row stays in integers from the cascade to integer_rref: the cascade puts
-the rule's rationals over their lcm itself and returns integer numerators
-over one common denominator; each Lyndon factor's generator expression is
-an integer combination over its own denominator, and a product monomial's
-numerators (gp_mul of its factors') stand over the product of theirs.  A
-nonzero scale does not change the row space, so both row denominators are
-dropped and each row is scaled by the lcm of its monomials'.  The criterion
-holds when every pivot lands on a single.  The rule rows span the row space
-of the relation system, phi and the substitution are linear, and the RREF of
-a span is unique for a column order, so these rows give the pivots the raw
-relation rows would.  Substituting first is what makes the check
-meaningful: without it, products of lower-weight relations (already
+The freeness check works over Lyndon-monomial variables.  Let pi send a
+weight-n word to its coordinates in the table's basis: e_b for a basis word
+b, its rule's coefficients for any other word.  The kernel V of pi is the
+span of the rule rows, which is the row space of the relation system.  The
+Radford map phi is the inverse of lyndon's expansion (a monomial to the
+shuffle product of its Lyndon factors), so phi(V) is the kernel of
+M = pi o expand.  An H2 word's Chen-Fox-Lyndon factors are Lyndon words
+other than 0 and 1, whose shuffles are H2 words, so M is a d_n x 2^(n-2)
+integer matrix with one column per H2 word's monomial.  Each column is one
+packed sum: every word's coordinates, over the rules' common denominator,
+sit in one signed slot per basis word, sized as linalg's certificate sizes
+its slots, so each term of a memoized expansion is one multiply-add.
+integer_rref of M, scanning the single-Lyndon-word columns first, gives the
+kernel basis: one row D e_m - sum_p R[p][m] e_p per free monomial m, that
+is N - d_n rows (N = 2^(n-2)) of at most d_n + 1 monomials.  Every product
+monomial is then substituted through the lower-weight generator
+expressions, once per distinct monomial, and the rows are echelonized
+scanning the single columns first.  Each Lyndon factor's generator
+expression is an integer combination over its own denominator, and a
+product monomial's numerators (gp_mul of its factors') stand over the
+product of theirs.  A nonzero scale does not change the row space, so each
+row is scaled by the lcm of its monomials' denominators.  The criterion
+holds when every pivot lands on a single.  The substitution is linear and
+the RREF of a span is unique for a column order, so these rows give the
+pivots the raw relation rows would.  Substituting first is what makes the
+check meaningful: without it, products of lower-weight relations (already
 consequences of smaller tables) masquerade as product-only rows and steal
 pivots.
 """
@@ -70,10 +78,11 @@ import re
 from collections.abc import Mapping
 from fractions import Fraction
 from math import lcm, prod
+from operator import mul
 from typing import NamedTuple
 
 from .linalg import integer_rref, rref
-from .lyndon import LyndonMonomial, integer_radford, lyndon_words
+from .lyndon import LyndonMonomial, factor_expand, lyndon_words
 from .regularize import knt_system
 from .words import (
     INDEX_PATTERN,
@@ -199,6 +208,17 @@ def _column(ech: dict, c) -> LinComb:
     return LinComb._raw({b: row[c] for b, row in ech.items() if c in row})
 
 
+def _kernel(den: int, ech: dict, labels) -> dict:
+    """A kernel basis of an integer_rref result (den, ech) over labels: one
+    row per free label f, D at f and -row_p[f] at each pivot p."""
+    kernel = {f: {f: den} for f in labels if f not in ech}
+    for p, row in ech.items():
+        for f, v in row.items():
+            if f != p:
+                kernel[f][p] = -v
+    return kernel
+
+
 def echelonize_degree(n: int, cache=None) -> RewriteTable:
     """Rewrite table for weight n in the cache's preference order;
     lower-weight tables are built on demand."""
@@ -212,14 +232,9 @@ def echelonize_degree(n: int, cache=None) -> RewriteTable:
     mat = knt_system(n)
     words = mat.column_labels
     low_fill = sorted(words, key=lambda w: (-w.count("1"), w[::-1]))
-    den, ech = integer_rref(mat.rows, low_fill)
-    # quotient coordinates, one row per free word f, scaled by the common
-    # denominator D: D at f, and -row_u[f] at each pivot word u
-    coords = {f: {f: den} for f in words if f not in ech}
-    for u, row in ech.items():
-        for f, v in row.items():
-            if f != u:
-                coords[f][u] = -v
+    # quotient coordinates: the kernel rows, one per free word f, scaled by
+    # the common denominator D (D at f, and -row_u[f] at each pivot word u)
+    coords = _kernel(*integer_rref(mat.rows, low_fill), words)
     # the change of basis: its pivots are the basis, in preference order,
     # and the column of any other word is that word's rule
     preferred = sorted(words, key=key)
@@ -307,11 +322,46 @@ class FreenessReport(NamedTuple):
         return len(self.new_generators)
 
 
+def _relation_rows(table: RewriteTable, single_cols: list[Word]) -> list:
+    """phi(V), V the span of the table's rule rows, as integer rows over
+    Lyndon monomials: the kernel basis of M = pi o expand for the column
+    order single_cols (as one-factor monomials), then the products."""
+    rules = table.rules
+    den = lcm(*(c.denominator for r in rules.values() for c in r.values()))
+    coords = {u: {b: c.numerator * (den // c.denominator)
+                  for b, c in r.items()} for u, r in rules.items()}
+    coords.update((b, {b: den}) for b in table.basis_words)
+    expansions = [factor_expand(w) for w in sorted(coords)]
+    # a signed slot per basis word, wide enough that no slot of a sum over
+    # an expansion carries; shuffle coefficients are positive, so an
+    # expansion's L1 norm is their sum
+    big = max(abs(v) for r in coords.values() for v in r.values())
+    norm = max(sum(e.values()) for _, e in expansions)
+    width = big.bit_length() + norm.bit_length() + 2
+    slot = {b: i * width for i, b in enumerate(table.basis_words)}
+    packed = {w: sum(v << slot[b] for b, v in r.items())
+              for w, r in coords.items()}
+    # M, one row per basis word, one column per expansion; the bias lifts
+    # every slot into [0, 2^width)
+    half, mask = 1 << width - 1, (1 << width) - 1
+    bias = sum(half << s for s in slot.values())
+    rows = [{} for _ in slot]
+    for mono, e in expansions:
+        x = sum(map(mul, e.values(), map(packed.__getitem__, e))) + bias
+        for row, s in zip(rows, slot.values()):
+            if v := (x >> s & mask) - half:
+                row[mono] = v
+    cols = [(l,) for l in single_cols] + \
+        [mono for mono, _ in expansions if len(mono) > 1]
+    return list(_kernel(*integer_rref(rows, cols), cols).values())
+
+
 def check_polynomial_freeness(n: int, cache=None) -> FreenessReport:
-    """Echelonize the rule rows of the weight-n table over Lyndon-monomial
-    variables (products substituted through lower-weight generator
-    expressions) scanning single columns first; passes when no pivot falls
-    on a product column.  Builds and caches the tables up to weight n."""
+    """Echelonize phi of the weight-n table's rule rows (their span, read
+    as the kernel of pi o expand) over Lyndon-monomial variables, products
+    substituted through lower-weight generator expressions, scanning
+    single columns first; passes when no pivot falls on a product column.
+    Builds and caches the tables up to weight n."""
     cache = _resolve(cache)
     table = echelonize_degree(n, cache)
     key = PREFERENCES[cache.preference]
@@ -338,21 +388,18 @@ def check_polynomial_freeness(n: int, cache=None) -> FreenessReport:
                                  LinComb.term(())),
                 prod(d for _, d in parts))
 
-    # one row per rule u -> sum c_b b: phi(sum c_b b - u), which spans what
-    # phi(u - sum c_b b) does, substituted and kept in integers from the
-    # cascade to the echelon (a nonzero scale does not change the row space)
+    # a column is a Lyndon word (a str) or a generator monomial (a tuple);
+    # singles are scanned first, least preferred first within them
+    single_cols = sorted(singles, key=key, reverse=True)
+    # each row of phi(V) substituted, kept in integers to the echelon (a
+    # nonzero scale does not change the row space)
     sub_rows = []
-    for u, r in table.rules.items():
-        _, num = integer_radford({**r, u: -1})
-        terms = [(q, *substitute(mono)) for mono, q in num.items()]
+    for row in _relation_rows(table, single_cols):
+        terms = [(q, *substitute(mono)) for mono, q in row.items()]
         den = lcm(*(d for _, _, d in terms))
         sub_rows.append(LinComb.sum(
             (k, q * (den // d) * v) for q, sub, d in terms
             for k, v in sub.items()))
-
-    # a column is a Lyndon word (a str) or a generator monomial (a tuple);
-    # singles are scanned first, least preferred first within them
-    single_cols = sorted(singles, key=key, reverse=True)
     product_cols = sorted(set().union(*sub_rows).difference(singles))
     _, ech = integer_rref(sub_rows, single_cols + product_cols)
 

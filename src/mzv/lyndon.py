@@ -21,7 +21,9 @@ Fraction wrapper radford_decompose_poly divides once.  The memo is keyed
 by word: a word and its monomial determine each other (the monomial's
 factors, concatenated in non-increasing order, are the word), so one entry
 holds both, and Duval's factorization runs once per distinct word however
-often cascades pop it.  monomial_expand reads the same memo.  The right
+often cascades pop it.  factor_expand reads the memo by word, and
+monomial_expand by monomial; the engine's freeness check expands the
+monomial of every word of its weight through factor_expand.  The right
 residual by x1 is regularize's x1 derivative.  The bracketed forms are kept
 for the test suite (the Leibniz rule) and acceptance criterion 09; no
 module under src calls them.
@@ -56,6 +58,7 @@ __all__ = [
     "radford_decompose",
     "radford_decompose_poly",
     "integer_radford",
+    "factor_expand",
     "expand",
     "monomial_expand",
     "format_lyndon_monomial",
@@ -140,7 +143,7 @@ def residual_derivation(p: LinComb, l: Word) -> LinComb:
 _expand_memo: dict[Word, tuple[LyndonMonomial, LinComb]] = {}
 
 
-def _factor_expand(w: Word) -> tuple[LyndonMonomial, LinComb]:
+def factor_expand(w: Word) -> tuple[LyndonMonomial, LinComb]:
     """The Chen-Fox-Lyndon monomial of w, sorted, and its shuffle
     expansion; Duval runs once per word."""
     hit = _expand_memo.get(w)
@@ -149,7 +152,7 @@ def _factor_expand(w: Word) -> tuple[LyndonMonomial, LinComb]:
         fac = cfl_factor(w)
         mono = tuple(reversed(fac))
         # the first factor is the largest; the rest factor w without it
-        hit = mono, (shuffle(_factor_expand(w[len(fac[0]):])[1],
+        hit = mono, (shuffle(factor_expand(w[len(fac[0]):])[1],
                              word_poly(fac[0])) if fac else word_poly(""))
         _expand_memo[w] = hit
     return hit
@@ -159,7 +162,7 @@ def monomial_expand(mono: LyndonMonomial) -> LinComb:
     """Shuffle product of the factors of a Lyndon monomial, as a word
     polynomial.  mono must be sorted: its factors, concatenated in
     non-increasing order, are the word the memo is keyed by."""
-    return _factor_expand("".join(reversed(mono)))[1]
+    return factor_expand("".join(reversed(mono)))[1]
 
 
 def expand(P: LinComb) -> LinComb:
@@ -193,7 +196,7 @@ def integer_radford(p: Mapping[Word, int | Fraction]) -> tuple[int, dict]:
         c = work.get(w, 0)
         if not c:
             continue                      # cancelled, or a stale entry
-        mono, expansion = _factor_expand(w)
+        mono, expansion = factor_expand(w)
         lead = expansion[w]
         g = lead // gcd(c, lead)
         if g > 1:

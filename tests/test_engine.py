@@ -8,6 +8,7 @@ whose numeric agreement is part of the acceptance gate; they guard against
 silent regressions in elimination order or basis preference.
 """
 
+import sys
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
@@ -15,12 +16,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mzv import linalg
+from mzv import engine, linalg
 from mzv.conjectures import n23_counts, zagier_dims
 from mzv.engine import (
     PREFERENCES,
     FreenessReport,
     _product_monomials,
+    _relation_rows,
     Identity,
     canonical_monomial,
     check_polynomial_freeness,
@@ -35,7 +37,7 @@ from mzv.engine import (
     verify_identity,
 )
 from mzv.linalg import rref
-from mzv.lyndon import lyndon_words
+from mzv.lyndon import integer_radford, lyndon_words
 from mzv.regularize import knt_system
 from mzv.store import TableStore
 from mzv.words import (
@@ -377,8 +379,9 @@ def test_tables_match_the_oracle_with_small_primes(prefer, monkeypatch):
 
 
 def test_every_elimination_certifies_its_first_lift(monkeypatch):
-    # the tables to weight 11 and freeness at weight 10, in either order,
-    # need neither the second pass nor a later prime
+    # the tables to weight 11 and freeness at weight 10 (two eliminations:
+    # the kernel of pi o expand, then the substituted rows), in either
+    # order, need neither the second pass nor a later prime
     lifts, taken = linalg._lifts, []
 
     def counted(rows, n_cols):
@@ -393,7 +396,7 @@ def test_every_elimination_certifies_its_first_lift(monkeypatch):
         for n in range(2, 12):
             echelonize_degree(n, store)
         check_polynomial_freeness(10, store)
-    assert len(taken) == 62 and set(taken) == {1}
+    assert len(taken) == 64 and set(taken) == {1}
 
 
 def test_unknown_preference_rejected():
@@ -422,8 +425,9 @@ def test_freeness_survivors_match_table_generators(cache):
 
 def freeness_from_raw_rows(n, cache):
     """Test oracle: the check run on every raw row of knt_system(n), each
-    rewritten in Lyndon monomials by the rational reference cascade (not
-    the integer cascade the check runs) and substituted term by term."""
+    rewritten in Lyndon monomials by the rational reference cascade (the
+    check reads the kernel of pi o expand instead) and substituted term by
+    term."""
     key = PREFERENCES[cache.preference]
     singles = [l for l in lyndon_words(n) if in_h2(l)]
     rows = []
@@ -455,6 +459,45 @@ def test_freeness_matches_the_raw_row_oracle(prefer):
     for n in range(2, 10):
         want = freeness_from_raw_rows(n, cache)
         assert check_polynomial_freeness(n, cache) == want, n
+
+
+@pytest.mark.parametrize("prefer", ["depth", "lex"])
+def test_a_spurious_product_term_fails_as_the_oracle_does(prefer,
+                                                          monkeypatch):
+    # zeta(3) gains z(2)*z(1), so the Lyndon factor 001 substitutes to a
+    # product column: a real FAIL, the same report as the raw rows give
+    express = express_in_generators
+
+    def spurious(c, cache=None):
+        e = express(c, cache)
+        return e + LinComb.term(((2,), (1,))) if c == (3,) else e
+
+    monkeypatch.setattr(engine, "express_in_generators", spurious)
+    monkeypatch.setattr(sys.modules[__name__], "express_in_generators",
+                        spurious)
+    cache = TableStore(preference=prefer)
+    for n in range(5, 10):
+        rep = check_polynomial_freeness(n, cache)
+        assert rep == freeness_from_raw_rows(n, cache), n
+        assert not rep.ok and rep.product_pivots, n
+
+
+@pytest.mark.parametrize("prefer", ["depth", "lex"])
+def test_relation_rows_span_phi_of_the_rule_rows(prefer):
+    # before substitution: the kernel of pi o expand is the span of the
+    # Radford cascades of the rule rows, the same RREF over every Lyndon
+    # monomial of the weight
+    cache = TableStore(preference=prefer)
+    key = PREFERENCES[prefer]
+    for n in range(2, 10):
+        table = echelonize_degree(n, cache)
+        singles = sorted(lyndon_words(n), key=key, reverse=True)
+        rows = _relation_rows(table, singles)
+        cascades = [integer_radford({**r, u: -1})[1]
+                    for u, r in table.rules.items()]
+        cols = sorted(set().union(*rows, *cascades))
+        assert len(rows) == len(table.rules), n
+        assert rref(rows, cols) == rref(cascades, cols), n
 
 
 # ---------------------------------------------------------------------------
