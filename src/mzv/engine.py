@@ -81,7 +81,7 @@ from math import lcm, prod
 from operator import mul
 from typing import NamedTuple
 
-from .linalg import integer_rref, rref
+from .linalg import integer_rref, kernel_basis, rref
 from .lyndon import LyndonMonomial, factor_expand, lyndon_words
 from .regularize import knt_system
 from .words import (
@@ -208,17 +208,6 @@ def _column(ech: dict, c) -> LinComb:
     return LinComb._raw({b: row[c] for b, row in ech.items() if c in row})
 
 
-def _kernel(den: int, ech: dict, labels) -> dict:
-    """A kernel basis of an integer_rref result (den, ech) over labels: one
-    row per free label f, D at f and -row_p[f] at each pivot p."""
-    kernel = {f: {f: den} for f in labels if f not in ech}
-    for p, row in ech.items():
-        for f, v in row.items():
-            if f != p:
-                kernel[f][p] = -v
-    return kernel
-
-
 def echelonize_degree(n: int, cache=None) -> RewriteTable:
     """Rewrite table for weight n in the cache's preference order;
     lower-weight tables are built on demand."""
@@ -234,7 +223,7 @@ def echelonize_degree(n: int, cache=None) -> RewriteTable:
     low_fill = sorted(words, key=lambda w: (-w.count("1"), w[::-1]))
     # quotient coordinates: the kernel rows, one per free word f, scaled by
     # the common denominator D (D at f, and -row_u[f] at each pivot word u)
-    coords = _kernel(*integer_rref(mat.rows, low_fill), words)
+    coords = kernel_basis(*integer_rref(mat.rows, low_fill), words)
     # the change of basis: its pivots are the basis, in preference order,
     # and the column of any other word is that word's rule
     preferred = sorted(words, key=key)
@@ -353,7 +342,7 @@ def _relation_rows(table: RewriteTable, single_cols: list[Word]) -> list:
                 row[mono] = v
     cols = [(l,) for l in single_cols] + \
         [mono for mono, _ in expansions if len(mono) > 1]
-    return list(_kernel(*integer_rref(rows, cols), cols).values())
+    return list(kernel_basis(*integer_rref(rows, cols), cols).values())
 
 
 def check_polynomial_freeness(n: int, cache=None) -> FreenessReport:

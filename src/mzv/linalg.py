@@ -47,13 +47,14 @@ pivot label, in the order the scan finds the pivots, to its row, pivot entry
    - so span(R) is the row space, and R, checked to be in reduced echelon
      form for the column order, is its unique RREF, whatever prime
      produced it.
-   A raw column in no row of R has the kernel vector e_c, so a raw row
-   holding it is rejected.  The product is packed along its shorter side,
-   the kernel vectors or the raw rows: a signed slot per vector, of W =
-   bits(largest entry there) + bits(largest L1 norm on the other side) + 2
-   bits, so each slot sum is below 2^(W-2) in size, and a packed sum is 0
-   only when every slot is (its highest nonzero slot outweighs all below).
-   Each vector of the longer side takes one sum of products.
+   A raw column in no row of R is free, with the kernel vector D e_c, so
+   the product rejects a raw row holding it.  The product is packed along
+   its shorter side, the kernel vectors or the raw rows: a signed slot per
+   vector, of W = bits(largest entry there) + bits(largest L1 norm on the
+   other side) + 2 bits, so each slot sum is below 2^(W-2) in size, and a
+   packed sum is 0 only when every slot is (its highest nonzero slot
+   outweighs all below).  Each vector of the longer side takes one sum of
+   products.
    When MQRR fails or the certificate rejects the first pass, the same
    residues are lifted again with t = sqrt(p) and certified again.
 
@@ -86,8 +87,9 @@ should it not suffice, `rref` raises ArithmeticError.
 
 `integer_rref` takes rational rows and returns the same RREF as D and
 integer rows whose pivot entry is D; `rref`, its Fraction wrapper, divides
-by D once (lyndon.integer_radford keeps this contract).  `rank` is the
-number of pivots `integer_rref` finds in reversed column-label order.
+by D once.  `kernel_basis` reads the certificate's kernel vectors off such
+an echelon.  `rank` is the number of pivots `integer_rref` finds in
+reversed column-label order.
 """
 
 from __future__ import annotations
@@ -101,6 +103,7 @@ __all__ = [
     "SparseMatrix",
     "rref",
     "integer_rref",
+    "kernel_basis",
     "rank",
 ]
 
@@ -244,21 +247,27 @@ def _lifts(rows: list[dict[int, int]], n_cols: int
         yield _lift(echelon, p, isqrt(p))
 
 
+def kernel_basis(den: int, ech: dict, labels) -> dict:
+    """A kernel basis of an echelon over one denominator, (den, ech) as
+    integer_rref returns it, pivot entries optional, over labels: one row
+    per free label f, den at f and -ech[p][f] at each pivot p."""
+    kernel = {f: {f: den} for f in labels if f not in ech}
+    for p, row in ech.items():
+        for f, v in row.items():
+            if f != p:
+                kernel[f][p] = -v
+    return kernel
+
+
 def _certify(rows: list[dict[int, int]], den: int,
              num: dict[int, dict[int, int]]) -> bool:
     """The rows R_c = e_c + sum_f num[c][f]/den e_f are in reduced echelon
     form for the column order 0, 1, 2, ..., and every raw row is orthogonal
     to the kernel vector den e_f - sum_c num[c][f] e_c of each free column
-    f."""
-    kernel = {f: {f: den} for f in set().union(*num.values())}
-    for c, row in num.items():
-        for f, w in row.items():
-            if f in num or f < c:
-                return False
-            kernel[f][c] = -w
-    # a free column no rule mentions has the kernel vector e_c
-    if not set().union(*rows) <= kernel.keys() | num.keys():
+    f, den e_f for a raw column f no row of R holds."""
+    if any(f in num or f < c for c, row in num.items() for f in row):
         return False
+    kernel = kernel_basis(den, num, set().union(*rows, *num.values()))
     # one sum of products per vector of the longer side, the shorter one
     # packed in signed slots (module docstring, step 4)
     xs, ys = rows, list(kernel.values())

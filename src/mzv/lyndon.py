@@ -9,15 +9,16 @@ words (multisets).
 
 The decomposition is computed by triangular elimination: the shuffle
 expansion of the monomial built from a word's Chen-Fox-Lyndon factors has
-that word as its lexicographically largest term, with coefficient equal to
-the product of the factor multiplicities' factorials.  The cascade reads
-that coefficient off the memoized expansion it subtracts, and the word being
-rewritten cancels through its own term.  It runs in integers
-(integer_radford) under linalg.integer_rref's contract: rational input in,
-(D, integer numerators) out.  D starts at the input's lcm, is shared by the
-words still to rewrite and the numerators written so far, and is raised,
-with both rescaled, only where a leading coefficient does not divide; the
-Fraction wrapper radford_decompose_poly divides once.  The memo is keyed
+that word as its lexicographically largest term, with coefficient, its lead,
+equal to the product of the factor multiplicities' factorials.  The whole
+expansion l1^a1 ... lk^ak (shuffle powers) is its lead times an integer
+polynomial: relabelling the a copies of l in an interleaving gives a!
+distinct interleavings of the same word, so l^a / a! has integer
+coefficients (Reutenauer, Free Lie Algebras, 1993, ch. 5; Radford,
+J. Algebra 58, 1979).  So the cascade puts its input over the lcm L of its
+denominators once and stays in integers: a popped word with numerator c
+writes c/(L lead) for its monomial and subtracts c times the expansion over
+its lead, in which the word cancels through its own term.  The memo is keyed
 by word: a word and its monomial determine each other (the monomial's
 factors, concatenated in non-increasing order, are the word), so one entry
 holds both, and Duval's factorization runs once per distinct word however
@@ -25,16 +26,15 @@ often cascades pop it.  factor_expand reads the memo by word, and
 monomial_expand by monomial; the engine's freeness check expands the
 monomial of every word of its weight through factor_expand.  The right
 residual by x1 is regularize's x1 derivative.  The bracketed forms are kept
-for the test suite (the Leibniz rule) and acceptance criterion 09; no
-module under src calls them.
+for the test suite (the Leibniz rule) and acceptance criterion 09; no module
+under src calls them.
 """
 
 from __future__ import annotations
 
 import heapq
-from collections.abc import Mapping
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 
 from .words import (
     LinComb,
@@ -57,7 +57,6 @@ __all__ = [
     "residual_derivation",
     "radford_decompose",
     "radford_decompose_poly",
-    "integer_radford",
     "factor_expand",
     "expand",
     "monomial_expand",
@@ -170,23 +169,23 @@ def expand(P: LinComb) -> LinComb:
     return P.map_linear(monomial_expand)
 
 
-def integer_radford(p: Mapping[Word, int | Fraction]) -> tuple[int, dict]:
-    """The Radford cascade on a rational word polynomial: (D, num) with
-    phi(p) = sum num[m] m / D over Lyndon monomials m, num[m] an integer.
+def radford_decompose_poly(p: LinComb) -> LinComb:
+    """Express a word polynomial as a polynomial in Lyndon words.
 
-    Triangular rewriting on the current leading word (lexicographically
-    largest, '0' < '1'); each step replaces it by strictly smaller words of
-    the same length, so the loop terminates.  D starts at the lcm of p's
-    denominators, as linalg.integer_rref puts each row over its own, and is
-    raised only when a leading coefficient does not divide; the words still
-    to rewrite and the numerators already written are rescaled then.
+    Returns a LinComb keyed by LyndonMonomial (sorted tuples); the empty
+    tuple is the constant term.  Triangular rewriting on the current
+    leading word (lexicographically largest, '0' < '1'); each step replaces
+    it by strictly smaller words of the same length, so the loop
+    terminates.  The words still to rewrite are integers over the lcm L of
+    p's denominators throughout: each expansion is its lead times an
+    integer polynomial (module docstring).
 
-    Each monomial's numerator is written once, when its word is popped:
+    Each monomial's coefficient is written once, when its word is popped:
     a word and its monomial (the sorted Chen-Fox-Lyndon factors) determine
     each other, and a popped word never comes back: it cancels in its own
     step, and every later step only touches smaller words.
     """
-    den, num = lcm(*(c.denominator for c in p.values())), {}
+    den, out = lcm(*(c.denominator for c in p.values())), {}
     work = {w: c.numerator * (den // c.denominator) for w, c in p.items()}
     # max-heap on (length, word): within a length, binary value is lex order
     heap = [(-len(w), -int(w or "0", 2), w) for w in work]
@@ -198,38 +197,17 @@ def integer_radford(p: Mapping[Word, int | Fraction]) -> tuple[int, dict]:
             continue                      # cancelled, or a stale entry
         mono, expansion = factor_expand(w)
         lead = expansion[w]
-        g = lead // gcd(c, lead)
-        if g > 1:
-            den *= g
-            c *= g
-            for k in work:
-                work[k] *= g
-            for k in num:
-                num[k] *= g
-        q = num[mono] = c // lead
-        # c == q * lead, so w cancels through its own term of the expansion
+        out[mono] = Fraction(c, den * lead)
         for w2, c2 in expansion.items():
             s = work.get(w2, 0)
             if not s:
                 heapq.heappush(heap, (-len(w2), -int(w2, 2), w2))
-            s -= q * c2
+            s -= c * (c2 // lead)
             if s:
                 work[w2] = s
             else:
                 del work[w2]
-    return den, num
-
-
-def radford_decompose_poly(p: LinComb) -> LinComb:
-    """Express a word polynomial as a polynomial in Lyndon words.
-
-    Returns a LinComb keyed by LyndonMonomial (sorted tuples); the empty
-    tuple is the constant term.  The Fraction wrapper over integer_radford,
-    as linalg.rref is over integer_rref: D already holds the lcm of p's
-    denominators, so the wrapper only divides each numerator by D.
-    """
-    den, num = integer_radford(p)
-    return LinComb._raw({m: Fraction(q, den) for m, q in num.items()})
+    return LinComb._raw(out)
 
 
 def radford_decompose(w: Word) -> LinComb:

@@ -37,7 +37,7 @@ from mzv.engine import (
     verify_identity,
 )
 from mzv.linalg import rref
-from mzv.lyndon import integer_radford, lyndon_words
+from mzv.lyndon import lyndon_words, radford_decompose_poly
 from mzv.regularize import knt_system
 from mzv.store import TableStore
 from mzv.words import (
@@ -493,7 +493,7 @@ def test_relation_rows_span_phi_of_the_rule_rows(prefer):
         table = echelonize_degree(n, cache)
         singles = sorted(lyndon_words(n), key=key, reverse=True)
         rows = _relation_rows(table, singles)
-        cascades = [integer_radford({**r, u: -1})[1]
+        cascades = [radford_decompose_poly(LinComb({**r, u: -1}))
                     for u, r in table.rules.items()]
         cols = sorted(set().union(*rows, *cascades))
         assert len(rows) == len(table.rules), n

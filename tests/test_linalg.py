@@ -467,6 +467,9 @@ def lifts_st(draw):
 # cancel
 @example(([{0: 1, 2: 1, 3: 2}, {1: 1, 2: 3, 3: 1}], 1,
           {0: {2: 1 + 2**8, 3: 1}, 1: {2: 3, 3: 1}}))
+# a raw row on column 1, which no row of R mentions: its kernel vector is
+# den e_1, and both certificates reject the row
+@example(([{0: 1, 1: 1}], 1, {0: {}}))
 @settings(max_examples=300, deadline=None)
 def test_packed_certificate_matches_the_dict_certificate(lift):
     rows, den, num = lift

@@ -3,10 +3,10 @@
 lyndon_words is checked against a brute rotation filter, cfl_factor against
 the defining property (nonincreasing Lyndon factors whose concatenation is
 the word), and radford_decompose against round-trip expansion and against
-radford_reference, the rational cascade it replaced, as is integer_radford
-on int and Fraction input.  is_lyndon and standard_factorization are read
-off cfl_factor, so the Lyndon property is checked by its definition
-(lyndon_by_definition), never through cfl_factor.
+radford_reference, the rational cascade it replaced, on int and Fraction
+input.  is_lyndon and standard_factorization are read off cfl_factor, so
+the Lyndon property is checked by its definition (lyndon_by_definition),
+never through cfl_factor.
 """
 
 import heapq
@@ -25,7 +25,6 @@ from mzv.lyndon import (
     expand,
     format_lyndon_monomial,
     format_lyndon_poly,
-    integer_radford,
     is_lyndon,
     lyndon_words,
     monomial_expand,
@@ -220,53 +219,41 @@ rational_word_polys = st.lists(
 @given(rational_word_polys)
 @example(LinComb.zero())
 @example(LinComb.term("", Fraction(-5, 3)))
-@example(LinComb.term("011000"))  # D grows twice: 3! at 011000, 2 at 010100
+@example(LinComb.term("011000"))  # leads 3! at 011000, 2! 2! at 010100
+@example(LinComb.term("011000", Fraction(1, 5)))
 @example(LinComb({"011000": Fraction(1, 5), "0101": Fraction(2, 7), "": 1}))
+# a freeness rule row: the rule 0101 -> 3/4 0001 of weight 4, head -1
+@example(LinComb({"0101": -1, "0001": Fraction(3, 4)}))
 @settings(max_examples=150, deadline=None)
 def test_radford_matches_the_rational_reference(p):
+    given_p = dict(p)
     got, want = radford_decompose_poly(p), radford_reference(p)
+    assert p == given_p
     assert got == want
     assert list(got) == list(want)      # the same monomial order too
 
 
-def test_integer_radford_raises_d_where_a_lead_does_not_divide():
-    # 011000 factors as 011.0.0.0, lead 3! = 6; the cascade then reaches
-    # 010100 = 01.01.0.0, lead 2! 2! = 4, with a numerator whose gcd with 4
-    # is 2, so D = 6 * 2, and the numerator written first is rescaled
-    p = {"011000": 1}
-    den, num = integer_radford(p)
-    assert den == 12 and p == {"011000": 1}
-    assert all(isinstance(q, int) for q in num.values())
-    assert LinComb._raw({m: Fraction(q, den) for m, q in num.items()}) == \
-        radford_reference(word_poly("011000"))
-    assert num[("0", "0", "0", "011")] == 2     # 1/6, written over 6, then 12
-    assert integer_radford({}) == (1, {})
+def test_radford_where_a_lead_does_not_divide():
+    # 011000 factors as 011.0.0.0, lead 3! = 6, so its monomial gets 1/6;
+    # the cascade then reaches 010100 = 01.01.0.0, lead 2! 2! = 4, with a
+    # numerator 4 does not divide: the coefficient written is c/4, and the
+    # words still to rewrite take c times the expansion over its lead
+    d = radford_decompose("011000")
+    want = radford_reference(word_poly("011000"))
+    assert d == want and list(d) == list(want)
+    assert d[("0", "0", "0", "011")] == Fraction(1, 6)
 
 
-# plain dicts of int and Fraction coefficients, zeros kept, the empty word
-# and words of every length up to 8 allowed
-mixed_word_dicts = st.dictionaries(
-    st.text(alphabet="01", max_size=8),
-    st.integers(-4, 4) | st.fractions(-3, 3, max_denominator=6),
-    max_size=4)
-
-
-@given(mixed_word_dicts)
-@example({})
-@example({"": Fraction(-5, 3), "1": 0})
-# a freeness rule row: the rule 0101 -> 3/4 0001 of weight 4, head -1
-@example({"0101": -1, "0001": Fraction(3, 4)})
-# D = 5 from the input's lcm, times 3! at 011000, times 2 at 010100
-@example({"011000": Fraction(1, 5)})
-@settings(max_examples=150, deadline=None)
-def test_integer_radford_takes_rationals(p):
-    given_p = dict(p)
-    den, num = integer_radford(p)
-    assert p == given_p
-    assert den % lcm(*(c.denominator for c in p.values())) == 0
-    assert all(isinstance(q, int) and q for q in num.values())
-    got = {m: Fraction(q, den) for m, q in num.items()}
-    assert got == radford_reference(LinComb(p))
+def test_every_expansion_is_its_lead_times_an_integer_polynomial():
+    # the fact the cascade stays in integers by: l1^a1 ... lk^ak is
+    # a1! ... ak! times an integer polynomial whose coefficient at w is 1
+    for n in range(12):
+        for w in all_words(n):
+            e = lyndon.factor_expand(w)[1]
+            lead = e[w]
+            assert lead == prod(map(factorial,
+                                    Counter(cfl_factor(w)).values()))
+            assert all(c % lead == 0 for c in e.values()), w
 
 
 def test_duval_runs_once_per_word(monkeypatch):
