@@ -233,6 +233,33 @@ def test_radford_matches_the_rational_reference(p):
     assert list(got) == list(want)      # the same monomial order too
 
 
+# plain dicts of int and Fraction coefficients, zeros kept, the empty word
+# and words of every length up to 8 allowed
+mixed_word_dicts = st.dictionaries(
+    st.text(alphabet="01", max_size=8),
+    st.integers(-4, 4) | st.fractions(-3, 3, max_denominator=6),
+    max_size=4)
+
+
+@given(mixed_word_dicts)
+@example({})
+@example({"": Fraction(-5, 3), "1": 0})
+# a freeness rule row: the rule 0101 -> 3/4 0001 of weight 4, head -1
+@example({"0101": -1, "0001": Fraction(3, 4)})
+# the input's lcm 5, times 3! at 011000, times 2 more at 010100
+@example({"011000": Fraction(1, 5)})
+@settings(max_examples=150, deadline=None)
+def test_integer_radford_takes_rationals(p):
+    # the integer cascade inside radford_decompose_poly reads int and
+    # Fraction coefficients alike, leaves its input alone, and writes
+    # only nonzero Fractions
+    given_p = dict(p)
+    got = radford_decompose_poly(LinComb(p))
+    assert p == given_p
+    assert all(isinstance(c, Fraction) and c for c in got.values())
+    assert got == radford_reference(LinComb(p))
+
+
 def test_radford_where_a_lead_does_not_divide():
     # 011000 factors as 011.0.0.0, lead 3! = 6, so its monomial gets 1/6;
     # the cascade then reaches 010100 = 01.01.0.0, lead 2! 2! = 4, with a
